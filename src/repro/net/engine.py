@@ -69,6 +69,9 @@ class Transfer:
     done: Signal
     remaining_bytes: float = 0.0
     rate_bps: float = 0.0
+    #: ``spec`` with each direction replaced by the engine's interned id:
+    #: what the allocator sees, so no direction is re-hashed per pass.
+    _alloc_spec: Optional[FlowSpec] = None
     _last_update: float = 0.0
     _completion_handle: Optional[object] = None
 
@@ -96,7 +99,10 @@ class NetworkEngine:
         self.capacity_scale = capacity_scale or {}
         self._flows: Dict[int, Transfer] = {}
         self._ids = itertools.count(1)
-        self._capacity_cache: Dict[LinkDirection, float] = {}
+        #: every direction seen is interned to a dense id; capacities are
+        #: cached by id and refreshed by ``on_link_state_change``.
+        self._direction_ids: Dict[LinkDirection, int] = {}
+        self._capacities: List[float] = []
         metrics = metrics if metrics is not None else MetricsRegistry(enabled=False)
         self.metrics = metrics
         self._m_started = metrics.counter(
@@ -122,25 +128,39 @@ class NetworkEngine:
 
     def capacity_of(self, direction: LinkDirection) -> float:
         """Effective capacity of one link direction (policed + jittered)."""
-        cached = self._capacity_cache.get(direction)
-        if cached is not None:
-            return cached
-        link = self.topology.link(direction.link_name)
-        cap = link.effective_capacity_bps(direction.src)
-        if not link.failed:
-            cap *= self.capacity_scale.get(link.name, 1.0)
-        self._capacity_cache[direction] = cap
-        return cap
+        return self._capacities[self._direction_id(direction)]
 
     def on_link_state_change(self, link_name: str) -> None:
         """React to a link failing or recovering: re-derive capacities and
         re-share bandwidth (flows pinned to a failed link starve at the
         residual rate until cancelled or the link returns)."""
         self.topology.link(link_name)  # validate
-        for direction in list(self._capacity_cache):
+        for direction, i in self._direction_ids.items():
             if direction.link_name == link_name:
-                del self._capacity_cache[direction]
+                self._capacities[i] = self._derive_capacity(direction)
         self._reallocate()
+
+    def _derive_capacity(self, direction: LinkDirection) -> float:
+        link = self.topology.link(direction.link_name)
+        cap = link.effective_capacity_bps(direction.src)
+        if not link.failed:
+            cap *= self.capacity_scale.get(link.name, 1.0)
+        return cap
+
+    def _direction_id(self, direction: LinkDirection) -> int:
+        i = self._direction_ids.get(direction)
+        if i is None:
+            cap = self._derive_capacity(direction)
+            i = self._direction_ids[direction] = len(self._capacities)
+            self._capacities.append(cap)
+        return i
+
+    def _interned_spec(self, flow_id: Hashable,
+                       directions: Sequence[LinkDirection],
+                       ceiling_bps: float) -> FlowSpec:
+        """*directions* as an allocator flow over interned direction ids."""
+        return FlowSpec(flow_id, tuple(self._direction_id(d) for d in directions),
+                        ceiling_bps)
 
     # -- public API -------------------------------------------------------------
 
@@ -176,6 +196,7 @@ class NetworkEngine:
             start_time=self.sim.now,
             done=Signal(self.sim, name=f"transfer-{flow_id}"),
             remaining_bytes=wire,
+            _alloc_spec=self._interned_spec(flow_id, directions, ceiling_bps),
             _last_update=self.sim.now,
         )
         self._flows[flow_id] = transfer
@@ -192,8 +213,8 @@ class NetworkEngine:
         self, directions: Sequence[LinkDirection], ceiling_bps: float = inf
     ) -> float:
         """Rate a new flow would get right now (phantom allocation)."""
-        phantom = FlowSpec("__phantom__", tuple(directions), ceiling_bps)
-        specs = [t.spec for t in self._flows.values()] + [phantom]
+        phantom = self._interned_spec("__phantom__", directions, ceiling_bps)
+        specs = [t._alloc_spec for t in self._flows.values()] + [phantom]
         alloc = self._allocate(specs)
         return alloc["__phantom__"]
 
@@ -226,11 +247,9 @@ class NetworkEngine:
     # -- internals -----------------------------------------------------------
 
     def _allocate(self, specs: List[FlowSpec]) -> Dict[Hashable, float]:
-        capacities: Dict[LinkDirection, float] = {}
-        for spec in specs:
-            for r in spec.resources:
-                if r not in capacities:
-                    capacities[r] = self.capacity_of(r)
+        """Max-min rates for allocator *specs* (interned direction ids)."""
+        caps = self._capacities
+        capacities = {i: caps[i] for spec in specs for i in spec.resources}
         return max_min_allocation(specs, capacities)
 
     def _drain_all(self) -> None:
@@ -261,7 +280,7 @@ class NetworkEngine:
 
     def _do_reallocate(self) -> None:
         self._m_reallocs.inc()
-        alloc = self._allocate([t.spec for t in self._flows.values()])
+        alloc = self._allocate([t._alloc_spec for t in self._flows.values()])
         _complete = self._complete
         sim_schedule = self.sim.schedule
         for t in self._flows.values():

@@ -52,6 +52,7 @@ def max_min_allocation(
     flows:
         The competing flows.  A flow referencing a resource missing from
         *capacities_bps* raises ``KeyError`` (construction bug upstream).
+        A resource listed twice by one flow counts once.
     capacities_bps:
         Capacity of each resource (bits/second).
     epsilon:
@@ -60,66 +61,88 @@ def max_min_allocation(
     Returns
     -------
     dict
-        ``{flow_id: allocated rate}``.
+        ``{flow_id: allocated rate}``, in the order of *flows*.
+
+    Each resource is hashed once per call and interned to a dense index;
+    the filling loop then runs on lists, keeping for every resource the
+    number of unfrozen flows crossing it and decrementing it as flows
+    freeze.  The float operations — and their order — are those of plain
+    progressive filling, so the rates are bit-identical to recomputing
+    every count on every pass.
     """
     flow_list = list(flows)
     ids = [f.flow_id for f in flow_list]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate flow ids in allocation request")
 
-    alloc: Dict[Hashable, float] = {f.flow_id: 0.0 for f in flow_list}
-    headroom: Dict[ResourceId, float] = {}
-    users: Dict[ResourceId, set] = {}
-    for f in flow_list:
+    # Intern resources in first-appearance order; a resource repeated
+    # within one flow counts once.
+    index: Dict[ResourceId, int] = {}
+    headroom: List[float] = []
+    users: List[List[int]] = []  # resource -> flows crossing it
+    paths: List[List[int]] = [[] for _ in flow_list]  # flow -> its resources
+    for j, f in enumerate(flow_list):
+        path = paths[j]
         for r in f.resources:
-            cap = capacities_bps[r]
-            if cap <= 0:
-                raise ValueError(f"resource {r!r} has non-positive capacity")
-            headroom.setdefault(r, float(cap))
-            users.setdefault(r, set()).add(f.flow_id)
+            i = index.get(r)
+            if i is None:
+                cap = capacities_bps[r]
+                if cap <= 0:
+                    raise ValueError(f"resource {r!r} has non-positive capacity")
+                i = index[r] = len(headroom)
+                headroom.append(float(cap))
+                users.append([])
+            elif users[i][-1] == j:
+                continue  # already counted for this flow
+            users[i].append(j)
+            path.append(i)
 
-    unfrozen = {f.flow_id: f for f in flow_list}
+    active = [len(u) for u in users]   # unfrozen flows per resource
+    live = list(range(len(headroom)))  # resources with an unfrozen flow
+    ceilings = [f.ceiling_bps for f in flow_list]
+    alloc = [0.0] * len(flow_list)
+    unfrozen = list(range(len(flow_list)))
 
     # Each iteration freezes at least one flow, so it terminates.
-    headroom_items = headroom.items
-    unfrozen_items = unfrozen.items
     while unfrozen:
         # Largest uniform increment all unfrozen flows can take.
         delta = inf
-        for r, room in headroom_items():
-            active = sum(1 for fid in users[r] if fid in unfrozen)
-            if active:
-                delta = min(delta, room / active)
-        for fid, f in unfrozen_items():
-            delta = min(delta, f.ceiling_bps - alloc[fid])
+        for i in live:
+            share = headroom[i] / active[i]
+            if share < delta:
+                delta = share
+        for j in unfrozen:
+            share = ceilings[j] - alloc[j]
+            if share < delta:
+                delta = share
         if delta is inf:
             raise ValueError("unbounded allocation: flow with no resources and no ceiling")
         delta = max(delta, 0.0)
 
-        for fid in unfrozen:
-            alloc[fid] += delta
-        for r in headroom:
-            active = sum(1 for fid in users[r] if fid in unfrozen)
-            headroom[r] -= delta * active
+        for j in unfrozen:
+            alloc[j] += delta
+        for i in live:
+            headroom[i] -= delta * active[i]
 
         # Freeze ceiling-bound flows and flows on saturated resources.
-        saturated = {r for r, room in headroom_items() if room <= epsilon}
+        hit = {j for i in live if headroom[i] <= epsilon for j in users[i]}
         to_freeze = [
-            fid
-            for fid, f in unfrozen_items()
-            if alloc[fid] >= f.ceiling_bps - epsilon or any(r in saturated for r in f.resources)
+            j for j in unfrozen
+            if alloc[j] >= ceilings[j] - epsilon or j in hit
         ]
         if not to_freeze:
             # Numerical corner: freeze the flow closest to its limit.
-            fid = min(
+            to_freeze = [min(
                 unfrozen,
-                key=lambda fid: min(
-                    [unfrozen[fid].ceiling_bps - alloc[fid]]
-                    + [headroom[r] for r in unfrozen[fid].resources]
+                key=lambda j: min(
+                    [ceilings[j] - alloc[j]] + [headroom[i] for i in paths[j]]
                 ),
-            )
-            to_freeze = [fid]
-        for fid in to_freeze:
-            del unfrozen[fid]
+            )]
+        frozen = set(to_freeze)
+        for j in to_freeze:
+            for i in paths[j]:
+                active[i] -= 1
+        unfrozen = [j for j in unfrozen if j not in frozen]
+        live = [i for i in live if active[i]]
 
-    return alloc
+    return dict(zip(ids, alloc))

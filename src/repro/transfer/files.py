@@ -3,9 +3,12 @@
 The paper benchmarks with binary files of 10, 20, 30, 40, 50, 60 and
 100 MB filled with random data, "resistant to any compression-based
 performance artifacts".  A :class:`FileSpec` describes such a file by
-(size, entropy class, seed); small specs can be *materialized* to real
-bytes (used by the rsync protocol tests), large ones stay descriptive —
-transfer cost depends only on size and compressibility.
+(size, entropy class, seed), and that triple *is* the file's identity:
+:meth:`FileSpec.content_digest` hashes it, never the bytes, because the
+bytes are a deterministic function of it.  Transfer cost depends only
+on size and compressibility, so contents are materialized to real bytes
+only for the rsync delta protocol (:mod:`repro.transfer.rsync`, small
+specs only).
 """
 
 from __future__ import annotations
@@ -64,7 +67,11 @@ class FileSpec:
         return self.size_bytes * self.entropy.compression_ratio
 
     def materialize(self) -> bytes:
-        """Produce the actual file contents (small files only)."""
+        """Produce the actual file contents (small files only).
+
+        Only the rsync delta path needs real bytes; everything else works
+        from the spec (see :meth:`content_digest`).
+        """
         if self.size_bytes > MAX_MATERIALIZE_BYTES:
             raise TransferError(
                 f"file {self.name!r} is {self.size_bytes} bytes; only specs up to "
@@ -73,9 +80,8 @@ class FileSpec:
         return generate_bytes(self.size_bytes, self.entropy, self.seed)
 
     def content_digest(self) -> str:
-        """Stable digest identifying the (virtual) contents."""
-        if self.size_bytes <= MAX_MATERIALIZE_BYTES:
-            return hashlib.sha256(self.materialize()).hexdigest()
+        """Stable digest identifying the contents: a hash of the
+        (size, entropy, seed) triple, which determines every byte."""
         meta = f"{self.size_bytes}:{self.entropy.value}:{self.seed}".encode()
         return hashlib.sha256(meta).hexdigest()
 

@@ -1,11 +1,14 @@
-"""Max-min fair allocation: examples and property-based invariants."""
+"""Max-min fair allocation: examples, property-based invariants, and a
+bit-exact oracle against the original progressive-filling code."""
 
+import struct
 from math import inf
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.net import FlowSpec, max_min_allocation
+from tests.maxmin_reference import reference_max_min_allocation
 
 
 class TestExamples:
@@ -156,3 +159,92 @@ def test_work_conservation_on_shared_single_link(problem):
     fair = capacities[link] / len(flows)
     if all(f.ceiling_bps >= fair for f in flows):
         assert used == pytest.approx(capacities[link], rel=1e-6)
+
+
+# -- oracle: bit-identical to the original allocator ---------------------------
+
+
+def _outcome(allocator, flows, capacities, epsilon):
+    """What *allocator* returns — keys in order, rates as raw doubles — or
+    which exception it raises, with its arguments."""
+    try:
+        alloc = allocator(flows, capacities, epsilon)
+    except (ValueError, KeyError) as exc:
+        return type(exc), exc.args
+    return list(alloc), [struct.pack("d", rate) for rate in alloc.values()]
+
+
+def _assert_matches_reference(flows, capacities, epsilon=1e-9):
+    assert _outcome(max_min_allocation, flows, capacities, epsilon) == \
+        _outcome(reference_max_min_allocation, flows, capacities, epsilon)
+
+
+#: capacities and ceilings from far below the saturation epsilon up to
+#: tens of Gbit/s, where ``room - (room / n) * n`` leaves float residue
+#: above epsilon and no flow freezes on its own (the numerical corner).
+_magnitudes = st.one_of(
+    st.floats(min_value=1e-12, max_value=1e-8),
+    st.floats(min_value=0.5, max_value=100.0),
+    st.floats(min_value=1e6, max_value=5e10),
+)
+
+
+@st.composite
+def oracle_problems(draw):
+    names = [f"L{i}" for i in range(draw(st.integers(1, 6)))]
+    capacities = {
+        name: draw(st.one_of(_magnitudes, st.just(inf))) for name in names
+    }
+    # Occasionally an invalid capacity or a missing one: both allocators
+    # must fail the same way.
+    if draw(st.integers(0, 9)) == 0:
+        capacities[draw(st.sampled_from(names))] = draw(st.sampled_from([0.0, -1.0]))
+    if draw(st.integers(0, 9)) == 0:
+        del capacities[draw(st.sampled_from(names))]
+    flows = []
+    for j in range(draw(st.integers(0, 8))):
+        # duplicates within a flow allowed; empty means ceiling-only
+        resources = tuple(draw(st.lists(st.sampled_from(names), max_size=6)))
+        if resources:
+            ceiling = draw(st.one_of(st.just(inf), _magnitudes))
+        else:
+            ceiling = draw(_magnitudes)
+        # a small id pool makes duplicate flow ids (a ValueError) possible
+        flow_id = draw(st.one_of(st.just(f"f{j}"), st.integers(0, 40)))
+        flows.append(FlowSpec(flow_id, resources, ceiling))
+    epsilon = draw(st.sampled_from([1e-9, 0.0, 1e-3]))
+    return flows, capacities, epsilon
+
+
+class TestMatchesReference:
+    @settings(max_examples=600, deadline=None)
+    @given(oracle_problems())
+    def test_bit_identical_to_reference(self, problem):
+        flows, capacities, epsilon = problem
+        _assert_matches_reference(flows, capacities, epsilon)
+
+    def test_numerical_corner(self):
+        # 3 flows on one link of this capacity: after the first fill the
+        # link keeps float residue above epsilon, so the corner branch
+        # freezes the flows one at a time.
+        flows = [FlowSpec(f"f{j}", ("L",)) for j in range(3)]
+        _assert_matches_reference(flows, {"L": 263696906.12266728})
+
+    def test_duplicate_resources_count_once(self):
+        flows = [FlowSpec("a", ("L", "L", "M", "L")), FlowSpec("b", ("L",))]
+        alloc = max_min_allocation(flows, {"L": 10.0, "M": 100.0})
+        assert alloc == {"a": 5.0, "b": 5.0}
+        _assert_matches_reference(flows, {"L": 10.0, "M": 100.0})
+
+    def test_errors_match(self):
+        cases = [
+            ([FlowSpec("f", ("L",)), FlowSpec("f", ("M",))], {}),   # duplicate ids
+            ([FlowSpec("f", ("L", "M"))], {"L": 1.0}),              # missing M
+            ([FlowSpec("f", ("L", "M"))], {"L": 1.0, "M": -2.0}),   # bad capacity
+            ([FlowSpec("f", ("L",))], {"L": inf}),                 # unbounded
+        ]
+        for flows, capacities in cases:
+            new = _outcome(max_min_allocation, flows, capacities, 1e-9)
+            assert new[0] in (ValueError, KeyError)
+            assert new == _outcome(reference_max_min_allocation, flows,
+                                   capacities, 1e-9)

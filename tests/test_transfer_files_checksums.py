@@ -12,7 +12,8 @@ from repro.transfer import (
     make_test_files,
     strong_checksum,
 )
-from repro.transfer.files import Entropy, PAPER_SIZES_MB
+from repro.transfer import DataTransferNode
+from repro.transfer.files import MAX_MATERIALIZE_BYTES, Entropy, PAPER_SIZES_MB
 from repro.units import mb
 
 
@@ -43,6 +44,46 @@ class TestFileSpec:
     def test_zero_size_rejected(self):
         with pytest.raises(TransferError):
             FileSpec("empty", 0)
+
+
+class TestContentIdentity:
+    """A file's identity is its (size, entropy, seed) triple: the digest
+    hashes that, and never generates the bytes."""
+
+    SIZES = (1, 4096, int(mb(40)), MAX_MATERIALIZE_BYTES,
+             MAX_MATERIALIZE_BYTES + 1, int(mb(100)))
+
+    @pytest.fixture(autouse=True)
+    def no_materialize(self, monkeypatch):
+        def refuse(spec):
+            raise AssertionError(f"{spec.name}: contents materialized")
+        monkeypatch.setattr(FileSpec, "materialize", refuse)
+
+    def test_digest_never_materializes(self):
+        for size in self.SIZES:
+            for entropy in Entropy:
+                FileSpec("f", size, entropy, seed=3).content_digest()
+
+    def test_digest_distinct_across_triple(self):
+        digests = {
+            FileSpec("f", size, entropy, seed).content_digest()
+            for size in self.SIZES for entropy in Entropy for seed in (0, 1, 7)
+        }
+        assert len(digests) == len(self.SIZES) * len(Entropy) * 3
+
+    def test_digest_stable_and_independent_of_name(self):
+        spec = FileSpec("a.bin", int(mb(40)), Entropy.TEXT, seed=5)
+        first = spec.content_digest()
+        assert spec.content_digest() == first
+        renamed = FileSpec("b.bin", int(mb(40)), Entropy.TEXT, seed=5)
+        assert renamed.content_digest() == first
+
+    def test_dtn_digest_agrees(self):
+        dtn = DataTransferNode("dtn")
+        for i, size in enumerate(self.SIZES):
+            spec = FileSpec(f"f{i}", size, seed=i)
+            dtn.stage(spec)
+            assert dtn.digest_of(spec.name) == spec.content_digest()
 
     def test_random_data_incompressible(self):
         spec = FileSpec("r", 1000, entropy=Entropy.RANDOM)
