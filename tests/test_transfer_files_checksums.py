@@ -45,6 +45,24 @@ class TestFileSpec:
         with pytest.raises(TransferError):
             FileSpec("empty", 0)
 
+    def test_random_data_incompressible(self):
+        spec = FileSpec("r", 1000, entropy=Entropy.RANDOM)
+        assert spec.compressed_bytes() == 1000
+
+    def test_compressible_classes(self):
+        assert FileSpec("t", 1000, entropy=Entropy.TEXT).compressed_bytes() < 500
+        assert FileSpec("z", 1000, entropy=Entropy.ZEROS).compressed_bytes() < 50
+
+    def test_generated_entropy_actually_differs(self):
+        import zlib
+
+        rnd = generate_bytes(50_000, Entropy.RANDOM, seed=1)
+        txt = generate_bytes(50_000, Entropy.TEXT, seed=1)
+        zer = generate_bytes(50_000, Entropy.ZEROS)
+        assert len(zlib.compress(rnd)) > 0.95 * len(rnd)   # incompressible
+        assert len(zlib.compress(txt)) < 0.70 * len(txt)   # compressible
+        assert len(zlib.compress(zer)) < 0.01 * len(zer)   # trivial
+
 
 class TestContentIdentity:
     """A file's identity is its (size, entropy, seed) triple: the digest
@@ -84,24 +102,6 @@ class TestContentIdentity:
             spec = FileSpec(f"f{i}", size, seed=i)
             dtn.stage(spec)
             assert dtn.digest_of(spec.name) == spec.content_digest()
-
-    def test_random_data_incompressible(self):
-        spec = FileSpec("r", 1000, entropy=Entropy.RANDOM)
-        assert spec.compressed_bytes() == 1000
-
-    def test_compressible_classes(self):
-        assert FileSpec("t", 1000, entropy=Entropy.TEXT).compressed_bytes() < 500
-        assert FileSpec("z", 1000, entropy=Entropy.ZEROS).compressed_bytes() < 50
-
-    def test_generated_entropy_actually_differs(self):
-        import zlib
-
-        rnd = generate_bytes(50_000, Entropy.RANDOM, seed=1)
-        txt = generate_bytes(50_000, Entropy.TEXT, seed=1)
-        zer = generate_bytes(50_000, Entropy.ZEROS)
-        assert len(zlib.compress(rnd)) > 0.95 * len(rnd)   # incompressible
-        assert len(zlib.compress(txt)) < 0.70 * len(txt)   # compressible
-        assert len(zlib.compress(zer)) < 0.01 * len(zer)   # trivial
 
 
 class TestRollingChecksum:
