@@ -407,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("paths", nargs="*",
                    help="files or directories to lint (default: the installed "
                         "repro package); the literal first path 'graph' "
-                        "switches to call-graph inspection (see --dot)")
+                        "prints call-graph and cache stats instead")
     p.add_argument("--format", choices=["text", "json", "sarif"],
                    default="text", dest="fmt")
     p.add_argument("--baseline", default=None, metavar="FILE",
@@ -418,20 +418,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rewrite the baseline to cover the current findings")
     p.add_argument("--graph", action="store_true",
                    help="whole-program analysis: per-file rules plus the "
-                        "SL6xx transitive-determinism and SL7xx unit-"
-                        "dataflow call-graph rules")
+                        "SL6xx transitive-determinism, SL9xx layering and "
+                        "SL10xx concurrency-safety call-graph rules")
     p.add_argument("--cache-dir", default=None, metavar="DIR", dest="cache_dir",
                    help="incremental analysis cache for --graph runs "
                         "(default: .lint_cache)")
     p.add_argument("--no-cache", action="store_true", dest="no_cache",
                    help="analyze from scratch, neither reading nor writing "
                         "the cache")
-    p.add_argument("--dot", action="store_true",
-                   help="with 'graph': emit the project call graph as "
-                        "Graphviz DOT instead of stats")
-    p.add_argument("--focus", default=None, metavar="PREFIX",
-                   help="with 'graph --dot': keep only edges touching "
-                        "functions under this dotted-name prefix")
     p.add_argument("--changed", action="store_true",
                    help="lint only files changed vs git HEAD (plus "
                         "untracked); with --graph the whole program is "
@@ -439,13 +433,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "reported for changed files only")
     p.add_argument("--fix", action="store_true",
                    help="auto-repair fixable findings (SL104 sorted-"
-                        "iteration, SL201 units constants, SL802 hot-loop "
-                        "hoists, SL1002 atomic-write protocol) with token-"
-                        "preserving rewrites, printing unified diffs")
-    p.add_argument("--fix-mode", choices=["rewrite", "suppress"],
-                   default="rewrite", dest="fix_mode",
-                   help="rewrite: repair the code; suppress: insert inline "
-                        "'# simlint: ignore[...]' markers instead")
+                        "iteration, SL201 units constants, SL1002 atomic-"
+                        "write protocol) with token-preserving rewrites, "
+                        "printing unified diffs")
     p.add_argument("--dry-run", action="store_true", dest="dry_run",
                    help="with --fix: print the diffs without writing files")
     return parser
@@ -1092,8 +1082,6 @@ def _cmd_lint(args) -> int:
     if args.paths and args.paths[0] == "graph":
         return run_graph_export(
             paths=args.paths[1:] or None,
-            dot=args.dot,
-            focus=args.focus,
             cache_dir=args.cache_dir,
             no_cache=args.no_cache,
         )
@@ -1107,7 +1095,6 @@ def _cmd_lint(args) -> int:
         cache_dir=args.cache_dir,
         no_cache=args.no_cache,
         fix=args.fix,
-        fix_mode=args.fix_mode,
         dry_run=args.dry_run,
         changed=args.changed,
     )

@@ -18,20 +18,16 @@ whole-program analyses of :mod:`repro.lint.graph`:
 * **transitive determinism** (SL6xx) — taint from wall-clock / OS-entropy
   / hash-order sinks anywhere in the tree back to model-code callers,
   through the project call graph;
-* **unit dataflow** (SL7xx) — second/byte/bps unit tags propagated across
-  call boundaries; mixed-unit arithmetic and suffix-contradicting
-  argument bindings;
-* **hot-path performance** (SL8xx) — per-event allocation, repeated
-  attribute-chain resolution, exception-driven control flow, and O(n)
-  membership tests inside loops reachable from the configured
-  ``hot_entrypoints`` (the simulator kernel and network-engine paths);
 * **architecture layering** (SL9xx) — upward imports against the
-  declared layer DAG, cross-package private-module imports, import
-  cycles, and dead ``__init__`` exports.
+  declared layer DAG, cross-package private-module imports, and import
+  cycles;
+* **concurrency safety** (SL10xx) — shared-state mutation, non-atomic
+  durable writes, shared-tier read-modify-writes and RNG escapes in
+  code reachable from the configured ``worker_entrypoints``.
 
 ``repro lint --fix`` (see :mod:`repro.lint.fix`) auto-repairs the
-fixable rules with token-preserving rewrites, or inserts inline
-suppressions with ``--fix-mode=suppress``; ``--dry-run`` previews diffs.
+fixable rules with token-preserving rewrites; ``--dry-run`` previews
+diffs.
 
 The analyzer is stdlib-``ast`` based (no third-party dependencies) and is
 wired into the CLI (``python -m repro.cli lint``) and the test suite
@@ -43,7 +39,6 @@ baseline workflow (``lint_baseline.json``).
 from repro.lint.baseline import Baseline, BaselineEntry
 from repro.lint.config import (
     DEFAULT_CONFIG,
-    DEFAULT_HOT_ENTRYPOINTS,
     DEFAULT_LAYERS,
     LintConfig,
 )
@@ -69,7 +64,6 @@ __all__ = [
     "Baseline",
     "BaselineEntry",
     "DEFAULT_CONFIG",
-    "DEFAULT_HOT_ENTRYPOINTS",
     "DEFAULT_LAYERS",
     "FIXABLE_RULES",
     "Finding",

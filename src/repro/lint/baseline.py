@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Collection, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.atomic import atomic_write_json
+from repro.lint.engine import known_rule_ids
 from repro.lint.findings import Finding
 
 __all__ = ["Baseline", "BaselineEntry", "BASELINE_VERSION"]
@@ -87,14 +88,14 @@ class Baseline:
         any excess is kept.  Entries that matched nothing are *stale* —
         the debt they recorded has been paid and they should be removed.
 
-        When ``active_rules`` is given, entries for rules outside it are
-        neither spent nor reported stale: a per-file-only run must not
-        declare a grandfathered whole-program finding "fixed" just
-        because the rule that produces it did not execute.
+        When ``active_rules`` is given, the :meth:`deferred` entries are
+        neither spent nor reported stale.
         """
+        deferred = (set(self.deferred(active_rules))
+                    if active_rules is not None else set())
         budget: Dict[Tuple[str, str], int] = {}
         for e in self.entries:
-            if active_rules is not None and e.rule not in active_rules:
+            if e in deferred:
                 continue
             budget[e.key()] = budget.get(e.key(), 0) + e.count
         used: Dict[Tuple[str, str], int] = {}
@@ -108,9 +109,21 @@ class Baseline:
             else:
                 kept.append(f)
         stale = [e for e in self.entries
-                 if (active_rules is None or e.rule in active_rules)
-                 and used.get(e.key(), 0) == 0]
+                 if e not in deferred and used.get(e.key(), 0) == 0]
         return kept, baselined, stale
+
+    def deferred(self, active_rules: Collection[str]) -> List[BaselineEntry]:
+        """Entries for registered rules that did not run under *active_rules*.
+
+        A per-file-only run must not declare a grandfathered
+        whole-program finding "fixed" just because the rule that
+        produces it did not execute.  An entry naming an id that no rule
+        registers (a retired or mistyped rule) is never deferred: every
+        run reports it stale and ``--update-baseline`` drops it.
+        """
+        known = known_rule_ids()
+        return [e for e in self.entries
+                if e.rule not in active_rules and e.rule in known]
 
     @classmethod
     def from_findings(cls, findings: Sequence[Finding],

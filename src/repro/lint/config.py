@@ -8,7 +8,7 @@ from typing import FrozenSet, List, Mapping, Optional, Tuple
 from repro.lint.findings import Severity
 
 __all__ = ["LintConfig", "DEFAULT_CONFIG", "DEFAULT_LAYERS",
-           "DEFAULT_HOT_ENTRYPOINTS", "DEFAULT_WORKER_ENTRYPOINTS"]
+           "DEFAULT_WORKER_ENTRYPOINTS"]
 
 #: The architecture layer DAG, lowest layer first.  Packages in the same
 #: inner tuple may import each other; a package may import any package
@@ -32,28 +32,12 @@ DEFAULT_LAYERS: Tuple[Tuple[str, ...], ...] = (
     ("cli",),
 )
 
-#: Kernel-hot analysis roots for the SL8xx performance rules: everything
-#: reachable from these through the call graph is "hot".  Entries are
-#: dotted paths relative to the scanned root package
-#: (``sim.kernel.Simulator.run`` matches ``repro.sim.kernel.Simulator.run``).
-DEFAULT_HOT_ENTRYPOINTS: Tuple[str, ...] = (
-    "sim.kernel.Simulator.run",
-    "sim.kernel.Simulator.step",
-    "sim.kernel.Simulator.run_until_triggered",
-    "sim.kernel.Signal.trigger",
-    "net.engine.NetworkEngine._reallocate",
-    "net.tcp.TcpModel.request_response_time_s",
-    "net.tcp.mathis_ceiling_bps",
-    "net.tcp.slow_start_penalty_s",
-    "net.policer.TokenBucket.consume",
-    "net.policer.TokenBucket.peek_delay",
-)
-
 #: Cross-process worker entrypoints for the SL10xx concurrency-safety
 #: rules: everything reachable from these runs inside a pool child or a
 #: shard worker, where mutated module/class state silently diverges from
-#: the serial run.  Same dotted-path-relative-to-root format as
-#: ``DEFAULT_HOT_ENTRYPOINTS``.
+#: the serial run.  Entries are dotted paths relative to the scanned root
+#: package (``campaign.worker.child_main`` matches
+#: ``repro.campaign.worker.child_main``).
 DEFAULT_WORKER_ENTRYPOINTS: Tuple[str, ...] = (
     "campaign.worker.child_main",
     "campaign.worker.run_cell_payload",
@@ -107,8 +91,6 @@ class LintConfig:
     #: and tests, which are never scanned).  Enforced by SL901.
     restricted_imports: Mapping[str, FrozenSet[str]] = field(
         default_factory=lambda: {"lint": frozenset({"cli"})})
-    #: Call-graph roots of the kernel-hot set for SL8xx.
-    hot_entrypoints: Tuple[str, ...] = DEFAULT_HOT_ENTRYPOINTS
     #: Call-graph roots of the cross-process worker set for SL10xx.
     worker_entrypoints: Tuple[str, ...] = DEFAULT_WORKER_ENTRYPOINTS
     #: Files (relative to the scanned root) implementing the sanctioned
@@ -154,18 +136,16 @@ class LintConfig:
                             f"restricted_imports allows unknown package "
                             f"{importer!r} to import {target!r} (not in "
                             f"the layer DAG)")
-        for label, entries in (("hot", self.hot_entrypoints),
-                               ("worker", self.worker_entrypoints)):
-            for entry in entries:
-                parts = entry.split(".")
-                if len(parts) < 2 or not all(parts):
-                    errors.append(
-                        f"{label} entrypoint {entry!r} must be a dotted path "
-                        f"(package.module.function)")
-                elif self.layers and parts[0] not in seen:
-                    errors.append(
-                        f"{label} entrypoint {entry!r} names unknown package "
-                        f"{parts[0]!r} (not in the layer DAG)")
+        for entry in self.worker_entrypoints:
+            parts = entry.split(".")
+            if len(parts) < 2 or not all(parts):
+                errors.append(
+                    f"worker entrypoint {entry!r} must be a dotted path "
+                    f"(package.module.function)")
+            elif self.layers and parts[0] not in seen:
+                errors.append(
+                    f"worker entrypoint {entry!r} names unknown package "
+                    f"{parts[0]!r} (not in the layer DAG)")
         for rel in sorted(self.atomic_write_files):
             if not rel.endswith(".py") or rel.startswith("/") or "\\" in rel:
                 errors.append(

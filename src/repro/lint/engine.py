@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
+                    Sequence, Tuple, Union)
 
 from repro.lint.config import DEFAULT_CONFIG, LintConfig
 from repro.lint.context import FileContext
@@ -20,7 +21,7 @@ from repro.lint.findings import Finding, Severity
 __all__ = [
     "Rule", "RULES", "rule", "all_rules",
     "GraphRule", "GRAPH_RULES", "graph_rule", "all_graph_rules",
-    "LintEngine", "LintReport",
+    "known_rule_ids", "LintEngine", "LintReport",
 ]
 
 CheckFn = Callable[[FileContext], Iterable[Tuple[int, str]]]
@@ -116,6 +117,12 @@ def all_graph_rules() -> List[GraphRule]:
     import repro.lint.rules  # noqa: F401  -- ensure registration ran
 
     return sorted(GRAPH_RULES.values(), key=lambda r: r.rule_id)
+
+
+def known_rule_ids() -> FrozenSet[str]:
+    """Every id some shipped rule can report: both registries + SL001."""
+    return frozenset(r.rule_id for r in all_rules() + all_graph_rules()) \
+        | {PARSE_ERROR_RULE}
 
 
 @dataclass

@@ -1,34 +1,20 @@
 """``repro lint --fix`` — the autofix engine.
 
-Two modes, both driven by ordinary lint findings:
-
-* ``--fix-mode=rewrite`` (default) repairs the auto-fixable rules
-  (:data:`~repro.lint.fix.rewriters.FIXABLE_RULES`: SL104 set-iteration
-  ordering, SL201 magic unit literals, SL802 hot-loop attribute-chain
-  hoists) with token-preserving span edits;
-* ``--fix-mode=suppress`` inserts inline ``# simlint: ignore[...]``
-  markers instead, for any rule.
-
-``--dry-run`` previews the unified diffs without writing.  See
-:mod:`repro.lint.fix.engine` for the safety contract (idempotent,
-atomic per file, deterministic output).
+Repairs the auto-fixable rules
+(:data:`~repro.lint.fix.rewriters.FIXABLE_RULES`: SL104 set-iteration
+ordering, SL201 magic unit literals, SL1002 non-atomic writes) with
+token-preserving span edits.  ``--dry-run`` previews the unified diffs
+without writing.  See :mod:`repro.lint.fix.engine` for the safety
+contract (idempotent, atomic per file, deterministic output).
 """
 
-from repro.lint.fix.engine import (
-    MODE_REWRITE,
-    MODE_SUPPRESS,
-    FileFix,
-    FixResult,
-    fix_findings,
-)
+from repro.lint.fix.engine import FileFix, FixResult, fix_findings
 from repro.lint.fix.rewriters import FIXABLE_RULES, apply_edits, plan_edits
 
 __all__ = [
     "FIXABLE_RULES",
     "FileFix",
     "FixResult",
-    "MODE_REWRITE",
-    "MODE_SUPPRESS",
     "apply_edits",
     "fix_findings",
     "plan_edits",

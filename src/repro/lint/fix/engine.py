@@ -1,17 +1,15 @@
 """The autofix driver behind ``repro lint --fix``.
 
 Given the findings of a lint run and the files they live in, the engine
-plans span edits per file (``--fix-mode=rewrite``, via the per-rule
-rewriters) or inline suppression markers (``--fix-mode=suppress``),
-applies them back-to-front, and verifies the result still parses before
-anything touches disk.  ``--dry-run`` renders the same unified diffs
+plans span edits per file via the per-rule rewriters, applies them
+back-to-front, and verifies the result still parses before anything
+touches disk.  ``--dry-run`` renders the same unified diffs
 without writing.
 
 Safety properties the tests pin down:
 
 * **Idempotence** — fixing twice equals fixing once: a rewrite removes
-  the trigger pattern, a suppression marker silences the rule, so the
-  second pass plans zero edits.
+  the trigger pattern, so the second pass plans zero edits.
 * **Atomic per file** — overlapping edits or a post-edit parse failure
   skip the *whole file*; a file is either fixed and reparseable or
   untouched.
@@ -25,7 +23,7 @@ import ast
 import difflib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.lint.findings import Finding
 from repro.lint.fix.rewriters import (
@@ -33,13 +31,9 @@ from repro.lint.fix.rewriters import (
     Edit,
     apply_edits,
     plan_edits,
-    suppression_edits,
 )
 
 __all__ = ["FileFix", "FixResult", "fix_findings"]
-
-MODE_REWRITE = "rewrite"
-MODE_SUPPRESS = "suppress"
 
 
 @dataclass
@@ -129,47 +123,18 @@ def _rewrite_file(rel: str, path: Path, source: str,
     return fix
 
 
-def _suppress_file(rel: str, path: Path, source: str,
-                   findings: List[Finding]) -> FileFix:
-    fix = FileFix(rel=rel, path=path, before=source, after=source)
-    by_line: Dict[int, List[Finding]] = {}
-    for finding in findings:
-        by_line.setdefault(finding.line, []).append(finding)
-    edits: List[Edit] = []
-    for line in sorted(by_line):
-        group = by_line[line]
-        rule_ids = sorted({f.rule for f in group})
-        planned = suppression_edits(source, line, rule_ids)
-        if not planned:
-            fix.skipped.extend(group)
-            continue
-        edits.extend(planned)
-        fix.fixed.extend(group)
-    if edits:
-        patched = apply_edits(source, edits)
-        if patched is None:
-            fix.skipped.extend(fix.fixed)
-            fix.fixed = []
-        else:
-            fix.after = patched
-    return fix
-
-
-def fix_findings(findings: List[Finding], rel_paths: Dict[str, Path],
-                 mode: str = MODE_REWRITE) -> FixResult:
+def fix_findings(findings: List[Finding],
+                 rel_paths: Dict[str, Path]) -> FixResult:
     """Plan fixes for *findings* against the files in *rel_paths*.
 
-    Rewrite mode considers only :data:`FIXABLE_RULES`; suppress mode
-    accepts any rule (an inline marker silences anything).  Nothing is
+    Only :data:`FIXABLE_RULES` findings are considered.  Nothing is
     written — the caller inspects/prints the result and calls
     :meth:`FixResult.write`.
     """
-    if mode not in (MODE_REWRITE, MODE_SUPPRESS):
-        raise ValueError(f"unknown fix mode {mode!r}")
     result = FixResult()
     grouped: Dict[str, List[Finding]] = {}
     for finding in sorted(findings, key=Finding.sort_key):
-        if mode == MODE_REWRITE and finding.rule not in FIXABLE_RULES:
+        if finding.rule not in FIXABLE_RULES:
             continue
         if finding.file not in rel_paths:
             result.unmapped.append(finding)
@@ -182,8 +147,5 @@ def fix_findings(findings: List[Finding], rel_paths: Dict[str, Path],
         except OSError:
             result.unmapped.extend(grouped[rel])
             continue
-        if mode == MODE_REWRITE:
-            result.files.append(_rewrite_file(rel, path, source, grouped[rel]))
-        else:
-            result.files.append(_suppress_file(rel, path, source, grouped[rel]))
+        result.files.append(_rewrite_file(rel, path, source, grouped[rel]))
     return result

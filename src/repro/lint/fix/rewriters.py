@@ -14,9 +14,6 @@ The fixable per-rule semantics:
 * **SL201** — replace the magic literal (``10**6``, ``1048576``) with
   the named ``repro.units`` constant the finding suggests, importing
   ``units`` if the module does not bind it yet.
-* **SL802** — hoist a repeatedly resolved attribute chain into a local
-  bound immediately before the hot loop, then rewrite every load of the
-  chain inside the loop to use the local.
 * **SL1002** — rewrite a non-atomic ``path.write_text(...)`` /
   ``path.write_bytes(...)`` into the sanctioned
   ``atomic_write_text(path, ...)`` / ``atomic_write_bytes(path, ...)``
@@ -25,25 +22,24 @@ The fixable per-rule semantics:
   surrounding ``os.replace`` scaffolding safely needs a human.
 
 A rewriter returns ``None`` when it cannot prove the edit is safe (the
-node moved, the hoist name would collide); the engine then reports the
-finding as skipped rather than guessing.
+node moved, a hand-rolled protocol surrounds the write); the engine then
+reports the finding as skipped rather than guessing.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.lint.context import dotted_name, is_setish
+from repro.lint.context import is_setish
 from repro.lint.findings import Finding
 from repro.lint.rules.units import _POW_NAMES
 
-__all__ = ["FIXABLE_RULES", "Edit", "apply_edits", "plan_edits",
-           "suppression_edits"]
+__all__ = ["FIXABLE_RULES", "Edit", "apply_edits", "plan_edits"]
 
-#: Rules ``--fix-mode=rewrite`` knows how to repair.
-FIXABLE_RULES = ("SL104", "SL201", "SL802", "SL1002")
+#: Rules ``repro lint --fix`` knows how to repair.
+FIXABLE_RULES = ("SL104", "SL201", "SL1002")
 
 #: (line, col, end_line, end_col, replacement) — a zero-width span
 #: (line == end_line, col == end_col) is a pure insertion.
@@ -53,9 +49,6 @@ Edit = Tuple[int, int, int, int, str]
 _NAME_TO_VALUE = {name: value for value, name in sorted(_POW_NAMES.items())}
 
 _USE_RE = re.compile(r"; use (units\.[A-Za-z_]+)")
-_HOIST_RE = re.compile(
-    r"^`(?P<chain>[A-Za-z_][\w.]*)` is resolved \d+x per iteration of the "
-    r"loop at line (?P<loop>\d+)")
 
 
 # -- edit application -------------------------------------------------------
@@ -203,76 +196,6 @@ def _fix_magic_literal(tree: ast.Module, source: str,
     return edits
 
 
-# -- SL802: hoist an attribute chain out of a hot loop ----------------------
-
-
-def _parent_map(tree: ast.Module) -> Dict[ast.AST, ast.AST]:
-    parents: Dict[ast.AST, ast.AST] = {}
-    for node in ast.walk(tree):
-        for child in ast.iter_child_nodes(node):
-            parents[child] = node
-    return parents
-
-
-def _scope_bound_names(func: ast.AST) -> frozenset:
-    """Names bound anywhere in a function scope (stores, params, defs)."""
-    bound = set()
-    for node in ast.walk(func):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-            bound.add(node.id)
-        elif isinstance(node, ast.arg):
-            bound.add(node.arg)
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                               ast.ClassDef)):
-            bound.add(node.name)
-    return frozenset(bound)
-
-
-def _hoist_name(chain: str, taken: frozenset) -> Optional[str]:
-    name = chain.replace(".", "_")
-    if name.startswith("self_"):
-        name = name[len("self_"):]
-    if name not in taken:
-        return name
-    fallback = f"{name}_hoisted"
-    return fallback if fallback not in taken else None
-
-
-def _fix_hoist_chain(tree: ast.Module, source: str,
-                     finding: Finding) -> Optional[List[Edit]]:
-    match = _HOIST_RE.match(finding.message)
-    if match is None:
-        return None
-    chain = match.group("chain")
-    loop_line = int(match.group("loop"))
-    parents = _parent_map(tree)
-    loop: Optional[ast.stmt] = None
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.For, ast.AsyncFor, ast.While)) \
-                and node.lineno == loop_line:
-            loop = node
-            break
-    if loop is None:
-        return None
-    scope: ast.AST = loop
-    while scope in parents and not isinstance(
-            scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        scope = parents[scope]
-    name = _hoist_name(chain, _scope_bound_names(scope))
-    if name is None:
-        return None
-    loads = [node for node in ast.walk(loop)
-             if isinstance(node, ast.Attribute)
-             and isinstance(node.ctx, ast.Load)
-             and dotted_name(node) == chain]
-    if not loads:
-        return None
-    indent = " " * loop.col_offset
-    edits = [_insert(loop.lineno, 0, f"{indent}{name} = {chain}\n")]
-    edits.extend(_replace(node, name) for node in loads)
-    return edits
-
-
 # -- SL1002: non-atomic write_text/write_bytes -> repro.core.atomic ---------
 
 
@@ -320,40 +243,11 @@ def _fix_atomic_write(tree: ast.Module, source: str,
     return edits
 
 
-# -- suppress mode ----------------------------------------------------------
-
-_MARKER_RE = re.compile(r"#\s*simlint:\s*ignore\[([^\]]+)\]")
-
-
-def suppression_edits(source: str, line: int,
-                      rule_ids: List[str]) -> Optional[List[Edit]]:
-    """Edits adding ``# simlint: ignore[...]`` markers to one line."""
-    lines = source.splitlines()
-    if not 1 <= line <= len(lines):
-        return None
-    text = lines[line - 1]
-    match = _MARKER_RE.search(text)
-    if match is not None:
-        present = [r.strip() for r in match.group(1).split(",")]
-        merged = present + [r for r in sorted(rule_ids) if r not in present]
-        if merged == present:
-            return None  # already suppressed
-        # Columns are byte offsets; the marker region is ASCII, so the
-        # str offsets of the match are safe to reuse directly.
-        return [(line, match.start(1), line, match.end(1),
-                 ",".join(merged))]
-    ids = ",".join(sorted(rule_ids))
-    col = len(text.encode("utf-8"))
-    marker = f"  # simlint: ignore[{ids}] -- accepted via repro lint --fix"
-    return [(line, col, line, col, marker)]
-
-
 # -- dispatch ---------------------------------------------------------------
 
 _REWRITERS = {
     "SL104": _fix_set_iteration,
     "SL201": _fix_magic_literal,
-    "SL802": _fix_hoist_chain,
     "SL1002": _fix_atomic_write,
 }
 

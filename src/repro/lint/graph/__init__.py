@@ -10,16 +10,10 @@ This subpackage powers ``repro lint --graph``:
   store keyed by content hash + rule-set fingerprint;
 * :mod:`repro.lint.graph.analyzer` — the driver combining the per-file
   engine, the cache, and the registered graph rules
-  (SL6xx / SL7xx / SL8xx / SL9xx);
-* :mod:`repro.lint.graph.dot` — deterministic DOT export for call-graph
-  inspection (``repro lint graph --dot``).
+  (SL6xx / SL9xx / SL10xx).
 """
 
-from repro.lint.graph.analyzer import (
-    AnalysisResult,
-    ProjectAnalyzer,
-    collect_reference_tokens,
-)
+from repro.lint.graph.analyzer import AnalysisResult, ProjectAnalyzer
 from repro.lint.graph.cache import (
     CACHE_VERSION,
     DEFAULT_CACHE_DIR,
@@ -28,7 +22,6 @@ from repro.lint.graph.cache import (
     SummaryCache,
     ruleset_fingerprint,
 )
-from repro.lint.graph.dot import to_dot
 from repro.lint.graph.graphbuild import Edge, ProjectGraph, build_graph
 from repro.lint.graph.summary import (
     MODULE_BODY,
@@ -38,7 +31,6 @@ from repro.lint.graph.summary import (
     FunctionSummary,
     summarize_source,
     summarize_tree,
-    unit_of_name,
 )
 
 __all__ = [
@@ -57,10 +49,7 @@ __all__ = [
     "SUMMARY_VERSION",
     "SummaryCache",
     "build_graph",
-    "collect_reference_tokens",
     "ruleset_fingerprint",
     "summarize_source",
     "summarize_tree",
-    "to_dot",
-    "unit_of_name",
 ]

@@ -7,9 +7,9 @@ One :class:`ProjectAnalyzer` run:
    re-parsing and re-analyzing only what changed (see
    :mod:`repro.lint.graph.cache`);
 3. rebuilds the project call graph from the (cached + fresh) summaries;
-4. runs the registered whole-program rules (SL6xx taint, SL7xx unit
-   dataflow) over the graph, applying inline suppressions and severity
-   overrides exactly like the per-file engine.
+4. runs the registered whole-program rules (SL6xx taint, SL9xx
+   layering, SL10xx concurrency) over the graph, applying inline
+   suppressions and severity overrides exactly like the per-file engine.
 
 The resulting :class:`~repro.lint.engine.LintReport` is byte-identical
 whether the cache was cold, warm, stale, or corrupt — the cache is an
@@ -19,7 +19,6 @@ accelerator, not an input.
 from __future__ import annotations
 
 import hashlib
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
@@ -43,39 +42,7 @@ from repro.lint.graph.cache import (
 from repro.lint.graph.graphbuild import ProjectGraph, build_graph
 from repro.lint.graph.summary import FileSummary, summarize_tree
 
-__all__ = ["AnalysisResult", "ProjectAnalyzer", "collect_reference_tokens"]
-
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
-#: File kinds scanned for identifier references (SL904 dead exports).
-_REFERENCE_GLOBS = ("*.py", "*.md", "*.rst", "*.txt", "*.ipynb")
-
-
-def collect_reference_tokens(roots: Sequence[Union[str, Path]]) -> frozenset:
-    """Identifier-shaped tokens in docs/tests/examples trees.
-
-    The SL904 dead-export rule treats any exported name that appears in
-    this corpus (or in the scanned tree itself) as referenced.  Missing
-    roots are skipped silently so callers can pass conventional paths
-    without probing.
-    """
-    tokens = set()
-    for root in [Path(r) for r in roots]:
-        if root.is_file():
-            files = [root]
-        elif root.is_dir():
-            files = []
-            for pattern in _REFERENCE_GLOBS:
-                files.extend(sorted(root.rglob(pattern)))
-        else:
-            continue
-        for path in files:
-            try:
-                text = path.read_text(encoding="utf-8", errors="replace")
-            except OSError:
-                continue
-            tokens.update(_IDENT_RE.findall(text))
-    return frozenset(tokens)
+__all__ = ["AnalysisResult", "ProjectAnalyzer"]
 
 
 @dataclass
@@ -111,17 +78,13 @@ class ProjectAnalyzer:
     def __init__(self, config: Optional[LintConfig] = None,
                  cache_dir: Optional[Union[str, Path]] = None,
                  engine: Optional[LintEngine] = None,
-                 graph_rules: Optional[Sequence[GraphRule]] = None,
-                 reference_roots: Optional[Sequence[Union[str, Path]]] = None):
+                 graph_rules: Optional[Sequence[GraphRule]] = None):
         self.config = config or DEFAULT_CONFIG
         self.engine = engine or LintEngine(config=self.config)
         rules = list(graph_rules) if graph_rules is not None else all_graph_rules()
         self.graph_rules = [r for r in rules
                             if r.rule_id not in self.config.disabled_rules]
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        #: docs/tests/examples trees whose identifiers count as uses of
-        #: exported names (SL904); empty means in-tree references only.
-        self.reference_roots = list(reference_roots or [])
 
     def _severity(self, rule: GraphRule) -> Severity:
         return self.config.severity_overrides.get(rule.rule_id, rule.severity)
@@ -178,8 +141,7 @@ class ProjectAnalyzer:
                 report.suppressed.extend(entry.suppressed)
                 summaries[rel] = entry.summary
 
-        extra_refs = collect_reference_tokens(self.reference_roots)
-        graph = build_graph(summaries, self.config, extra_refs=extra_refs)
+        graph = build_graph(summaries, self.config)
         kept, suppressed = self._graph_findings(graph)
         report.findings.extend(kept)
         report.suppressed.extend(suppressed)

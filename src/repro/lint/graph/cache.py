@@ -64,7 +64,6 @@ def ruleset_fingerprint(config, rules, graph_rules) -> str:
             "restricted_imports": {
                 k: sorted(v) for k, v in sorted(config.restricted_imports.items())
             },
-            "hot_entrypoints": list(config.hot_entrypoints),
             "worker_entrypoints": list(config.worker_entrypoints),
             "atomic_write_files": sorted(config.atomic_write_files),
             "severity_overrides": {

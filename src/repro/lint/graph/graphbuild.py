@@ -8,7 +8,7 @@ and ``from``-import aliases (including relative imports and package
 MRO walk, class instantiation (edge to ``__init__``), and nested
 functions.  Anything it cannot resolve — dynamic dispatch through local
 variables, subscripted callables, ``super()`` — becomes an explicit
-``unknown`` edge: recorded, counted, and visible in the DOT export,
+``unknown`` edge: recorded and counted in :meth:`ProjectGraph.stats`,
 never silently dropped.
 """
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import builtins
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.lint.config import DEFAULT_CONFIG, LintConfig
 from repro.lint.graph.summary import (
@@ -64,12 +64,8 @@ class ProjectGraph:
     """Symbol table + call graph for one analyzed tree."""
 
     def __init__(self, summaries: Dict[str, FileSummary],
-                 config: Optional[LintConfig] = None,
-                 extra_refs: Optional[FrozenSet[str]] = None):
+                 config: Optional[LintConfig] = None):
         self.config = config or DEFAULT_CONFIG
-        #: Identifier tokens from outside the scanned tree (docs, tests,
-        #: examples) — the external half of SL904's reference corpus.
-        self.extra_refs: FrozenSet[str] = extra_refs or frozenset()
         #: rel -> summary, in sorted-rel order.
         self.summaries: Dict[str, FileSummary] = dict(
             sorted(summaries.items(), key=lambda kv: kv[0]))
@@ -122,7 +118,7 @@ class ProjectGraph:
         matches ``repro.sim.kernel.Simulator.run``) and the
         lexicographically first entrypoint wins ties.  Memoized on the
         graph under *scratch_key*, so the rules of one family share a
-        single reachability pass (SL8xx hot set, SL10xx worker set).
+        single reachability pass (the SL10xx worker set).
         """
         cached = self.scratch.get(scratch_key)
         if cached is not None:
@@ -391,7 +387,6 @@ class ProjectGraph:
 
 
 def build_graph(summaries: Dict[str, FileSummary],
-                config: Optional[LintConfig] = None,
-                extra_refs: Optional[FrozenSet[str]] = None) -> ProjectGraph:
+                config: Optional[LintConfig] = None) -> ProjectGraph:
     """Construct the project call graph from per-file summaries."""
-    return ProjectGraph(summaries, config, extra_refs=extra_refs)
+    return ProjectGraph(summaries, config)

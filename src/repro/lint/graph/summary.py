@@ -2,38 +2,31 @@
 
 A :class:`FileSummary` is everything the cross-file passes need to know
 about one module: its import table, the functions it defines (with the
-calls they make, the unit tags of their parameters and returns, and any
-locally detected nondeterminism sinks), its classes, and its suppression
-comments.  Summaries are plain-JSON serializable, which is what makes
-the incremental cache (:mod:`repro.lint.graph.cache`) possible: a warm
-run never re-parses an unchanged file — the whole-program graph is
-rebuilt from cached summaries alone.
+calls they make, any locally detected nondeterminism sinks, and the
+shared-state, durable-write and RNG-escape sites of the concurrency
+rules), its classes, and its suppression comments.  Summaries are
+plain-JSON serializable, which is what makes the incremental cache
+(:mod:`repro.lint.graph.cache`) possible: a warm run never re-parses an
+unchanged file — the whole-program graph is rebuilt from cached
+summaries alone.
 
-Unit terms
-----------
+Callee terms
+------------
 
-The unit-dataflow pass (SL7xx) reasons over *unit terms*, a tiny lattice
-serialized as JSON lists:
-
-* ``None`` — unknown / dimensionless;
-* ``["u", "s"]`` — a concrete unit tag inferred from a name suffix
-  (``_s``, ``_bytes``, ``_bps``, ``_mb``, ...);
-* ``["c", "pkg.helper"]`` — the unit of whatever the named callee
-  returns (resolved later against the call graph).
+While walking a function body the summarizer tracks, per local name,
+the *callee term* of the value last bound to it: ``["c", "pkg.helper"]``
+for the result of calling ``pkg.helper``, ``None`` when unknown.  The
+SL1004 RNG-escape sites use it to tell a name bound from an RNG
+constructor or stream apart from any other local.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.lint.context import (
-    dotted_name,
-    identifiers_in,
-    is_setish,
-    parse_suppressions,
-)
+from repro.lint.context import dotted_name, is_setish, parse_suppressions
 
 __all__ = [
     "SUMMARY_VERSION",
@@ -42,8 +35,6 @@ __all__ = [
     "FileSummary",
     "MODULE_BODY",
     "rng_like_name",
-    "unit_of_name",
-    "unit_family",
     "summarize_source",
     "summarize_tree",
 ]
@@ -54,58 +45,15 @@ __all__ = [
 #: for the SL8xx/SL9xx families.
 #: v3: shared-state mutation sites, durable-write sites, RNG-escape
 #: sites and module-scope bindings for the SL10xx concurrency family.
-SUMMARY_VERSION = 3
+#: v4: dropped the SL7xx unit terms, SL8xx perf sites, and the SL904
+#: identifier and ``__all__`` tables.
+SUMMARY_VERSION = 4
 
 #: Pseudo-function name for statements executed at import time.
 MODULE_BODY = "<module>"
 
-# -- unit vocabulary --------------------------------------------------------
-
-#: Name-suffix -> unit tag, longest suffix first so ``_mbps`` is not
-#: mistaken for ``_bps`` and ``_bytes`` not for ``_s``.
-_UNIT_SUFFIXES: Tuple[Tuple[str, str], ...] = (
-    ("_bytes", "bytes"),
-    ("_kbps", "kbps"), ("_mbps", "mbps"), ("_gbps", "gbps"), ("_bps", "bps"),
-    ("_kib", "kib"), ("_mib", "mib"), ("_gib", "gib"),
-    ("_kb", "kb"), ("_mb", "mb"), ("_gb", "gb"),
-    ("_ms", "ms"), ("_us", "us"), ("_s", "s"),
-)
-
-#: Conventional bare names that carry a unit without a suffix.
-_EXACT_UNIT_NAMES = {"nbytes": "bytes", "seconds": "s"}
-
-_FAMILIES = {
-    "s": "time", "ms": "time", "us": "time",
-    "bytes": "size", "kb": "size", "mb": "size", "gb": "size",
-    "kib": "size", "mib": "size", "gib": "size",
-    "bps": "rate", "kbps": "rate", "mbps": "rate", "gbps": "rate",
-}
-
-
-def unit_of_name(name: Optional[str]) -> Optional[str]:
-    """The unit tag a name's suffix declares, if any."""
-    if not name:
-        return None
-    lowered = name.lower()
-    if lowered in _EXACT_UNIT_NAMES:
-        return _EXACT_UNIT_NAMES[lowered]
-    for suffix, unit in _UNIT_SUFFIXES:
-        if lowered.endswith(suffix):
-            return unit
-    return None
-
-
-def unit_family(unit: str) -> str:
-    """``s``/``ms`` -> ``time``, ``bytes``/``mb`` -> ``size``, ..."""
-    return _FAMILIES[unit]
-
-
-# A unit term: None | ["u", unit] | ["c", raw_callee]
+# A callee term: None | ["c", raw_callee]
 Term = Optional[List[str]]
-
-
-def _unit_term(unit: Optional[str]) -> Term:
-    return ["u", unit] if unit else None
 
 
 # -- summary dataclasses ----------------------------------------------------
@@ -125,19 +73,16 @@ class CallSite:
     star: bool = False
     #: The head identifier is a local variable — dynamic dispatch.
     local_head: bool = False
-    #: Argument unit terms: (positional index | keyword name, term).
-    args: List[Tuple[Any, Term]] = field(default_factory=list)
 
     def to_json(self) -> list:
         return [self.line, self.raw, self.nargs, self.nkw,
-                int(self.star), int(self.local_head), list(self.args)]
+                int(self.star), int(self.local_head)]
 
     @classmethod
     def from_json(cls, data: list) -> "CallSite":
-        line, raw, nargs, nkw, star, local_head, args = data
+        line, raw, nargs, nkw, star, local_head = data
         return cls(line=line, raw=raw, nargs=nargs, nkw=nkw, star=bool(star),
-                   local_head=bool(local_head),
-                   args=[(k, t) for k, t in args])
+                   local_head=bool(local_head))
 
 
 @dataclass
@@ -152,29 +97,14 @@ class FunctionSummary:
     kwonly: List[str] = field(default_factory=list)
     vararg: bool = False
     kwarg: bool = False
-    #: Parameter name -> unit tag (suffix-inferred), only tagged ones.
-    param_units: Dict[str, str] = field(default_factory=dict)
     calls: List[CallSite] = field(default_factory=list)
     #: Locally detected sinks: (line, kind); kinds: "set-iter".
     sinks: List[Tuple[int, str]] = field(default_factory=list)
-    #: Unit terms of ``return`` expressions.
-    returns: List[Term] = field(default_factory=list)
-    #: Mixed-unit arithmetic candidates: (line, op, left term, right term).
-    binop_checks: List[Tuple[int, str, Term, Term]] = field(default_factory=list)
-    #: Suffix-vs-call-return candidates: (line, target, target unit, term).
-    assign_checks: List[Tuple[int, str, str, Term]] = field(default_factory=list)
     #: Locally defined nested functions: bare name -> qname.
     nested: Dict[str, str] = field(default_factory=dict)
     has_value_return: bool = False
     #: Binding-relevant decorators only: "staticmethod" / "classmethod".
     decorators: List[str] = field(default_factory=list)
-    #: Hot-path performance sites, ``[loop_line, kind, payload]``; kinds:
-    #: "loop-attr" ``[chain, count, first_line]`` (a dotted callee chain
-    #: resolved >= 2x per iteration), "loop-container" ``[line, name,
-    #: ctor]`` (fresh empty container bound every iteration), "loop-try"
-    #: ``[line, exception names]`` (control-flow exceptions per event),
-    #: "loop-list-in" ``[line, name]`` (O(n) list membership per event).
-    perf: List[list] = field(default_factory=list)
     #: Shared-state mutation sites, ``[line, kind, head, detail]``;
     #: kinds: "global" (assignment to a ``global``-declared name),
     #: "store" (``X[...] = v`` / ``X.attr = v`` where ``X`` is not a
@@ -204,16 +134,11 @@ class FunctionSummary:
             "q": self.qname, "ln": self.line, "cls": self.cls,
             "pp": self.posparams, "kw": self.kwonly,
             "va": int(self.vararg), "ka": int(self.kwarg),
-            "pu": self.param_units,
             "calls": [c.to_json() for c in self.calls],
             "sinks": [list(s) for s in self.sinks],
-            "rets": self.returns,
-            "bin": [list(b) for b in self.binop_checks],
-            "asg": [list(a) for a in self.assign_checks],
             "nested": self.nested,
             "hvr": int(self.has_value_return),
             "dec": self.decorators,
-            "perf": [list(p) for p in self.perf],
             "mut": [list(m) for m in self.mutations],
             "wr": [list(w) for w in self.writes],
             "rng": [list(r) for r in self.rng_sites],
@@ -225,16 +150,11 @@ class FunctionSummary:
             qname=d["q"], line=d["ln"], cls=d["cls"],
             posparams=list(d["pp"]), kwonly=list(d["kw"]),
             vararg=bool(d["va"]), kwarg=bool(d["ka"]),
-            param_units=dict(d["pu"]),
             calls=[CallSite.from_json(c) for c in d["calls"]],
             sinks=[(s[0], s[1]) for s in d["sinks"]],
-            returns=list(d["rets"]),
-            binop_checks=[(b[0], b[1], b[2], b[3]) for b in d["bin"]],
-            assign_checks=[(a[0], a[1], a[2], a[3]) for a in d["asg"]],
             nested=dict(d["nested"]),
             has_value_return=bool(d["hvr"]),
             decorators=list(d["dec"]),
-            perf=[[p[0], p[1], list(p[2])] for p in d["perf"]],
             mutations=[list(m) for m in d["mut"]],
             writes=[list(w) for w in d["wr"]],
             rng_sites=[list(r) for r in d["rng"]],
@@ -265,12 +185,6 @@ class FileSummary:
     #: (bound name is None for ``from m import *``) — the SL9xx layering
     #: rules work off these, not off the resolved ``imports`` table.
     import_sites: List[list] = field(default_factory=list)
-    #: ``__all__`` entries at module scope: ``[line, name]`` pairs, or
-    #: None when the module declares no ``__all__``.
-    dunder_all: Optional[List[list]] = None
-    #: Every identifier mentioned anywhere in the file (sorted, deduped);
-    #: the reference corpus for dead-export detection (SL904).
-    refs: List[str] = field(default_factory=list)
     #: Names bound at module scope by assignment (sorted) — ``defs``
     #: only records functions and classes; SL1001 resolves mutation
     #: heads against the union of both plus the import table.
@@ -300,9 +214,6 @@ class FileSummary:
             "supp": {str(k): v for k, v in sorted(self.suppressions.items())},
             "err": list(self.parse_error) if self.parse_error else None,
             "sites": [list(s) for s in self.import_sites],
-            "all": ([list(a) for a in self.dunder_all]
-                    if self.dunder_all is not None else None),
-            "refs": self.refs,
             "mg": self.module_globals,
         }
 
@@ -316,26 +227,11 @@ class FileSummary:
             suppressions={int(k): list(v) for k, v in d["supp"].items()},
             parse_error=tuple(d["err"]) if d["err"] else None,
             import_sites=[[s[0], s[1], s[2], bool(s[3])] for s in d["sites"]],
-            dunder_all=([[a[0], a[1]] for a in d["all"]]
-                        if d["all"] is not None else None),
-            refs=list(d["refs"]),
             module_globals=list(d["mg"]),
         )
 
 
 # -- extraction -------------------------------------------------------------
-
-#: Exceptions whose per-event catch usually implements control flow the
-#: hot path should express with a lookup/guard instead (SL803).
-_CONTROL_FLOW_EXCEPTIONS = frozenset({
-    "KeyError", "IndexError", "AttributeError", "StopIteration",
-})
-
-#: Callees whose result is list-shaped (for SL804 membership tracking).
-_LIST_RETURNING = frozenset({"list", "sorted"})
-
-#: Argless constructors producing a fresh empty container (SL801).
-_CONTAINER_CTORS = frozenset({"list", "dict", "set", "tuple"})
 
 #: Method names that mutate their receiver in place (SL1001 mutcall).
 _MUTATING_METHODS = frozenset({
@@ -379,17 +275,12 @@ def _head_name(node: ast.AST):
 
 
 class _LoopInfo:
-    """Per-statement-loop bookkeeping for the hot-path perf sites."""
+    """Per-statement-loop bookkeeping for the loop-invariance checks."""
 
-    def __init__(self, line: int):
-        self.line = line
-        #: dotted callee chain -> [count, first line] inside this loop.
-        self.chains: Dict[str, List[int]] = {}
-        #: names and dotted chains (re)bound inside the loop — anything
-        #: here (or prefixed by it) is not hoistable.
+    def __init__(self):
+        #: names and dotted chains (re)bound inside the loop — a stream
+        #: call through one of these is not loop-invariant (SL1004).
         self.stores: set = set()
-        #: candidate list-membership sites: (line, container name).
-        self.memberships: List[Tuple[int, str]] = []
 
 
 class _FuncCtx:
@@ -397,14 +288,12 @@ class _FuncCtx:
 
     def __init__(self, qname: str, cls: Optional[str], line: int):
         self.summary = FunctionSummary(qname=qname, cls=cls, line=line)
-        #: local name -> unit term (for propagation through assignments)
+        #: local name -> callee term (for propagation through assignments)
         self.env: Dict[str, Term] = {}
         #: every locally bound name (params, assignments, defs)
         self.local_names: set = set()
         #: stack of statement loops currently being walked
         self.loops: List[_LoopInfo] = []
-        #: locals currently known to hold a list (for SL804)
-        self.list_names: set = set()
         #: names declared ``global`` in this function (for SL1001)
         self.globals_decl: set = set()
 
@@ -470,7 +359,6 @@ class _Summarizer:
         ctx = _FuncCtx(MODULE_BODY, None, 1)
         self._walk_stmts(tree.body, ctx, prefix="", cls=None)
         self.out.functions.append(ctx.summary)
-        self.out.refs = sorted(set(identifiers_in(tree)))
         self.out.module_globals = sorted(self._module_names)
         return self.out
 
@@ -501,25 +389,24 @@ class _Summarizer:
             self._augassign(st, ctx)
         elif isinstance(st, ast.Return):
             if st.value is not None:
-                term = self._eval(st.value, ctx)
-                ctx.summary.returns.append(term)
+                self._eval(st.value, ctx)
                 ctx.summary.has_value_return = True
         elif isinstance(st, (ast.For, ast.AsyncFor)):
             if is_setish(st.iter):
                 ctx.summary.sinks.append((st.iter.lineno, "set-iter"))
             # The iterable is evaluated once, in the *enclosing* scope.
             self._eval(st.iter, ctx)
-            self._push_loop(st.lineno, ctx)
+            ctx.loops.append(_LoopInfo())
             self._bind_target(st.target, None, ctx)
             self._walk_stmts(st.body, ctx, prefix, cls)
-            self._pop_loop(ctx)
+            ctx.loops.pop()
             self._walk_stmts(st.orelse, ctx, prefix, cls)
         elif isinstance(st, ast.While):
             # The test re-evaluates every iteration: count it as loop body.
-            self._push_loop(st.lineno, ctx)
+            ctx.loops.append(_LoopInfo())
             self._eval(st.test, ctx)
             self._walk_stmts(st.body, ctx, prefix, cls)
-            self._pop_loop(ctx)
+            ctx.loops.pop()
             self._walk_stmts(st.orelse, ctx, prefix, cls)
         elif isinstance(st, ast.If):
             self._eval(st.test, ctx)
@@ -532,13 +419,6 @@ class _Summarizer:
                     self._bind_target(item.optional_vars, None, ctx)
             self._walk_stmts(st.body, ctx, prefix, cls)
         elif isinstance(st, ast.Try):
-            if ctx.loops:
-                caught = sorted(
-                    name for name in self._handler_names(st)
-                    if name in _CONTROL_FLOW_EXCEPTIONS)
-                if caught:
-                    ctx.summary.perf.append(
-                        [ctx.loops[-1].line, "loop-try", [st.lineno, caught]])
             self._walk_stmts(st.body, ctx, prefix, cls)
             for handler in st.handlers:
                 if handler.type is not None:
@@ -593,11 +473,7 @@ class _Summarizer:
         fn.kwonly = [a.arg for a in args.kwonlyargs]
         fn.vararg = args.vararg is not None
         fn.kwarg = args.kwarg is not None
-        for pname in fn.posparams + fn.kwonly:
-            child.local_names.add(pname)
-            unit = unit_of_name(pname)
-            if unit:
-                fn.param_units[pname] = unit
+        child.local_names.update(fn.posparams + fn.kwonly)
         if args.vararg:
             child.local_names.add(args.vararg.arg)
         if args.kwarg:
@@ -649,41 +525,7 @@ class _Summarizer:
         else:
             ctx.local_names.add(st.name)
 
-    # -- hot-loop perf sites ------------------------------------------------
-
-    @staticmethod
-    def _handler_names(st: ast.Try) -> List[str]:
-        names: List[str] = []
-        for handler in st.handlers:
-            spec = handler.type
-            elts = spec.elts if isinstance(spec, ast.Tuple) else [spec]
-            for elt in elts:
-                raw = dotted_name(elt) if elt is not None else None
-                if raw:
-                    names.append(raw.split(".")[-1])
-        return names
-
-    @staticmethod
-    def _push_loop(line: int, ctx: _FuncCtx) -> None:
-        ctx.loops.append(_LoopInfo(line))
-
-    @staticmethod
-    def _pop_loop(ctx: _FuncCtx) -> None:
-        loop = ctx.loops.pop()
-        for chain in sorted(loop.chains):
-            count, first_line = loop.chains[chain]
-            if count < 2:
-                continue
-            parts = chain.split(".")
-            prefixes = {".".join(parts[:i]) for i in range(1, len(parts) + 1)}
-            if prefixes & loop.stores:
-                continue  # (partially) rebound inside the loop
-            ctx.summary.perf.append(
-                [loop.line, "loop-attr", [chain, count, first_line]])
-        for line, name in loop.memberships:
-            if name in ctx.list_names:
-                ctx.summary.perf.append(
-                    [loop.line, "loop-list-in", [line, name]])
+    # -- assignments --------------------------------------------------------
 
     @staticmethod
     def _loop_store(name: Optional[str], ctx: _FuncCtx) -> None:
@@ -691,28 +533,6 @@ class _Summarizer:
         if name:
             for loop in ctx.loops:
                 loop.stores.add(name)
-
-    @staticmethod
-    def _empty_container(node: ast.expr) -> Optional[str]:
-        """Constructor name when *node* builds a fresh empty container."""
-        if isinstance(node, (ast.List, ast.Tuple)) and not node.elts:
-            return "list" if isinstance(node, ast.List) else "tuple"
-        if isinstance(node, ast.Dict) and not node.keys:
-            return "dict"
-        if isinstance(node, ast.Call) and not node.args and not node.keywords:
-            name = dotted_name(node.func)
-            if name in _CONTAINER_CTORS:
-                return name
-        return None
-
-    @staticmethod
-    def _listish(node: ast.expr) -> bool:
-        if isinstance(node, (ast.List, ast.ListComp)):
-            return True
-        return (isinstance(node, ast.Call)
-                and dotted_name(node.func) in _LIST_RETURNING)
-
-    # -- assignments --------------------------------------------------------
 
     def _bind_target(self, target: ast.AST, term: Term, ctx: _FuncCtx) -> None:
         if isinstance(target, ast.Name):
@@ -725,10 +545,6 @@ class _Summarizer:
                 self._module_names.add(target.id)
             if term is not None:
                 ctx.env[target.id] = term
-            target_unit = unit_of_name(target.id)
-            if target_unit and term is not None and term[0] == "c":
-                ctx.summary.assign_checks.append(
-                    (target.lineno, target.id, target_unit, term))
         elif isinstance(target, (ast.Tuple, ast.List)):
             for elt in target.elts:
                 self._bind_target(elt, None, ctx)
@@ -751,42 +567,18 @@ class _Summarizer:
         ctx.summary.mutations.append([target.lineno, kind, head, detail])
 
     def _assign(self, targets, value, st, ctx: _FuncCtx) -> None:
-        if (len(targets) == 1 and isinstance(targets[0], ast.Name)
-                and targets[0].id == "__all__"
-                and ctx.summary.qname == MODULE_BODY
-                and isinstance(value, (ast.List, ast.Tuple))):
-            self.out.dunder_all = [
-                [elt.lineno, elt.value] for elt in value.elts
-                if isinstance(elt, ast.Constant) and isinstance(elt.value, str)
-            ]
-        if len(targets) == 1 and isinstance(targets[0], ast.Name):
-            if ctx.loops:
-                ctor = self._empty_container(value)
-                if ctor is not None:
-                    ctx.summary.perf.append(
-                        [ctx.loops[-1].line, "loop-container",
-                         [value.lineno, targets[0].id, ctor]])
-            if self._listish(value):
-                ctx.list_names.add(targets[0].id)
-            else:
-                ctx.list_names.discard(targets[0].id)
         term = self._eval(value, ctx)
         for target in targets:
             self._bind_target(target, term, ctx)
 
     def _augassign(self, st: ast.AugAssign, ctx: _FuncCtx) -> None:
-        term = self._eval(st.value, ctx)
+        self._eval(st.value, ctx)
         if isinstance(st.target, ast.Name):
             if st.target.id in ctx.globals_decl:
                 ctx.summary.mutations.append(
                     [st.target.lineno, "global", st.target.id, st.target.id])
             self._loop_store(st.target.id, ctx)
             ctx.local_names.add(st.target.id)
-            target_unit = unit_of_name(st.target.id)
-            if target_unit and term is not None and term[0] == "c" \
-                    and isinstance(st.op, (ast.Add, ast.Sub)):
-                ctx.summary.assign_checks.append(
-                    (st.target.lineno, st.target.id, target_unit, term))
         elif isinstance(st.target, (ast.Attribute, ast.Subscript)):
             self._record_store(st.target, ctx)
             if isinstance(st.target, ast.Attribute):
@@ -796,35 +588,20 @@ class _Summarizer:
     # -- expressions --------------------------------------------------------
 
     def _eval(self, node: ast.expr, ctx: _FuncCtx) -> Term:
-        """Unit term of an expression; records calls and check sites."""
+        """Callee term of an expression; records calls and sites."""
         if isinstance(node, ast.Name):
-            if node.id in ctx.env:
-                return ctx.env[node.id]
-            return _unit_term(unit_of_name(node.id))
+            return ctx.env.get(node.id)
         if isinstance(node, ast.Attribute):
             self._eval(node.value, ctx)
-            return _unit_term(unit_of_name(node.attr))
+            return None
         if isinstance(node, ast.Call):
             return self._call(node, ctx)
         if isinstance(node, ast.BinOp):
             return self._binop(node, ctx)
         if isinstance(node, ast.Compare):
-            if ctx.loops:
-                for op, comp in zip(node.ops, node.comparators):
-                    if not isinstance(op, (ast.In, ast.NotIn)):
-                        continue
-                    if isinstance(comp, ast.Name):
-                        ctx.loops[-1].memberships.append((comp.lineno, comp.id))
-                    elif isinstance(comp, ast.List):
-                        ctx.summary.perf.append(
-                            [ctx.loops[-1].line, "loop-list-in",
-                             [comp.lineno, "<list literal>"]])
-            terms = [self._eval(node.left, ctx)]
-            terms += [self._eval(c, ctx) for c in node.comparators]
-            known = [t for t in terms if t is not None]
-            if len(known) == 2 and known[0] != known[1]:
-                ctx.summary.binop_checks.append(
-                    (node.lineno, "cmp", known[0], known[1]))
+            self._eval(node.left, ctx)
+            for comp in node.comparators:
+                self._eval(comp, ctx)
             return None
         if isinstance(node, ast.BoolOp):
             for v in node.values:
@@ -898,13 +675,9 @@ class _Summarizer:
         left = self._eval(node.left, ctx)
         right = self._eval(node.right, ctx)
         if not isinstance(node.op, (ast.Add, ast.Sub)):
-            return None  # *, /, //, %, ** legitimately change units
-        op = "+" if isinstance(node.op, ast.Add) else "-"
-        if left is not None and right is not None:
-            if left == right:
-                return left
-            ctx.summary.binop_checks.append((node.lineno, op, left, right))
             return None
+        if left is not None and right is not None:
+            return left if left == right else None
         return left if left is not None else right
 
     def _call(self, node: ast.Call, ctx: _FuncCtx) -> Term:
@@ -926,30 +699,20 @@ class _Summarizer:
             site.local_head = (head in ctx.local_names
                                and head not in ("self", "cls")
                                and head not in ctx.summary.nested)
-            if ctx.loops and "." in raw and "()." not in raw:
-                # A dotted callee resolved per iteration — candidate for
-                # hoisting into a local (SL802); innermost loop only.
-                counter = ctx.loops[-1].chains.setdefault(
-                    raw, [0, node.lineno])
-                counter[0] += 1
         self._conc_sites(node, raw, head, ctx)
-        for i, arg in enumerate(node.args):
+        for arg in node.args:
             if isinstance(arg, ast.Starred):
                 site.star = True
                 self._eval(arg.value, ctx)
                 continue
-            term = self._eval(arg, ctx)
+            self._eval(arg, ctx)
             site.nargs += 1
-            if term is not None:
-                site.args.append((i, term))
         for kw in node.keywords:
-            term = self._eval(kw.value, ctx)
+            self._eval(kw.value, ctx)
             if kw.arg is None:
                 site.star = True
                 continue
             site.nkw += 1
-            if term is not None:
-                site.args.append((kw.arg, term))
         ctx.summary.calls.append(site)
         return ["c", raw] if raw is not None else None
 

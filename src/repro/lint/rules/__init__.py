@@ -7,10 +7,6 @@
 * :mod:`repro.lint.rules.parallel` — SL5xx, parallelism containment
 * :mod:`repro.lint.rules.taint` — SL6xx, transitive-determinism taint
   (whole-program, via ``repro lint --graph``)
-* :mod:`repro.lint.rules.unitsflow` — SL7xx, cross-call unit dataflow
-  (whole-program, via ``repro lint --graph``)
-* :mod:`repro.lint.rules.perf` — SL8xx, hot-path performance
-  (whole-program, via ``repro lint --graph``)
 * :mod:`repro.lint.rules.layering` — SL9xx, architecture layering
   (whole-program, via ``repro lint --graph``)
 * :mod:`repro.lint.rules.conc` — SL10xx, cross-process concurrency
@@ -24,8 +20,6 @@ from repro.lint.rules import (  # noqa: F401
     layering,
     observability,
     parallel,
-    perf,
     taint,
     units,
-    unitsflow,
 )

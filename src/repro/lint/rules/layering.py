@@ -19,9 +19,6 @@ code.
 * **SL903** — module-level import cycle: mutually importing modules
   make initialization order load-bearing; one finding per strongly
   connected component.
-* **SL904** — dead export (*warning*): a public name exported from a
-  package ``__init__`` (via ``__all__`` or a re-export) that nothing
-  outside the package — code, docs, or tests — ever references.
 
 Packages absent from the DAG are unconstrained, and an empty ``layers``
 disables SL901 entirely, so small fixture trees stay clean by default.
@@ -34,11 +31,8 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.lint.engine import graph_rule
-from repro.lint.findings import Severity
 
 __all__ = []
-
-_REFSETS_KEY = "layering-refsets"
 
 
 def _is_dunder(part: str) -> bool:
@@ -221,50 +215,3 @@ def import_cycle(graph) -> Iterator[Tuple[str, int, str]]:
             f"module-level import cycle: {cycle}; break it with a "
             f"function-scope import or by moving the shared symbol down "
             f"a layer")
-
-
-# -- SL904: dead exports ----------------------------------------------------
-
-
-def _refsets(graph) -> Dict[str, Tuple[str, frozenset]]:
-    """rel -> (package, identifier set) for every scanned file."""
-    cached = graph.scratch.get(_REFSETS_KEY)
-    if cached is not None:
-        return cached
-    refsets = {rel: (graph.summaries[rel].package,
-                     frozenset(graph.summaries[rel].refs))
-               for rel in sorted(graph.summaries)}
-    graph.scratch[_REFSETS_KEY] = refsets
-    return refsets
-
-
-def _exports(summary) -> List[Tuple[int, str]]:
-    """(line, name) public exports of one ``__init__`` module."""
-    if summary.dunder_all is not None:
-        return [(line, name) for line, name in summary.dunder_all
-                if not name.startswith("_")]
-    return [(line, bound) for line, bound, _target, module_scope
-            in summary.import_sites
-            if module_scope and bound and not bound.startswith("_")]
-
-
-@graph_rule("SL904", "public export never referenced outside its package",
-            severity=Severity.WARNING)
-def dead_export(graph) -> Iterator[Tuple[str, int, str]]:
-    refsets = _refsets(graph)
-    for rel in sorted(graph.summaries):
-        if not rel.endswith("__init__.py"):
-            continue
-        summary = graph.summaries[rel]
-        own_pkg = summary.package
-        for line, name in _exports(summary):
-            if name in graph.extra_refs:
-                continue
-            used = any(name in refs
-                       for other_rel, (pkg, refs) in sorted(refsets.items())
-                       if other_rel != rel and pkg != own_pkg)
-            if not used:
-                yield rel, line, (
-                    f"`{name}` is exported from {summary.module} but never "
-                    f"referenced outside package {own_pkg!r} (code, docs, "
-                    f"or tests); drop the export or add it to the docs")

@@ -10,17 +10,17 @@ pytest gate.  Exit codes are a stable contract:
 
 ``--graph`` upgrades the run to whole-program analysis
 (:class:`repro.lint.graph.ProjectAnalyzer`): per-file rules plus the
-SL6xx/SL7xx/SL8xx/SL9xx call-graph families, accelerated by the
+SL6xx/SL9xx/SL10xx call-graph families, accelerated by the
 ``.lint_cache/`` incremental store.  ``run_graph_export`` backs ``repro
-lint graph --dot``.  ``--fix`` hands the findings to the autofix engine
-(:mod:`repro.lint.fix`) instead of gating on them.
+lint graph`` (call-graph stats).  ``--fix`` hands the findings to the
+autofix engine (:mod:`repro.lint.fix`) instead of gating on them.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Optional, Sequence, Set, Tuple, Union
 
 from repro.lint.baseline import Baseline
 from repro.lint.config import DEFAULT_CONFIG, LintConfig
@@ -33,10 +33,6 @@ __all__ = ["run_lint", "run_graph_export", "default_scan_root",
 
 BASELINE_FILENAME = "lint_baseline.json"
 
-#: Conventional reference-corpus locations next to a project root (used
-#: by SL904 dead-export detection: names mentioned there count as used).
-_REFERENCE_NAMES = ("docs", "tests", "examples", "README.md")
-
 
 def _config_errors(config: Optional[LintConfig],
                    out: Callable[[str], None]) -> bool:
@@ -47,29 +43,6 @@ def _config_errors(config: Optional[LintConfig],
                           Severity.ERROR, f"invalid lint config: {message}")
         out(finding.render())
     return bool(errors)
-
-
-def _discover_reference_roots(roots: Sequence[Path]) -> List[Path]:
-    """docs/tests/examples/README next to the project that owns *roots*.
-
-    Walks upward from each scan root looking for a project marker
-    (``pyproject.toml`` or the checked-in baseline); tiny fixture trees
-    find nothing and fall back to in-tree references only.
-    """
-    found: List[Path] = []
-    seen: Set[str] = set()
-    for root in roots:
-        for parent in (root, *root.parents[:3]):
-            if not ((parent / "pyproject.toml").is_file()
-                    or (parent / BASELINE_FILENAME).is_file()):
-                continue
-            for name in _REFERENCE_NAMES:
-                cand = parent / name
-                if cand.exists() and str(cand) not in seen:
-                    seen.add(str(cand))
-                    found.append(cand)
-            break
-    return found
 
 
 def _git_changed_paths(roots: Sequence[Path],
@@ -151,9 +124,7 @@ def _analyze(roots: Sequence[Path], config: Optional[LintConfig],
         from repro.lint.graph import ProjectAnalyzer
 
         resolved_cache = None if no_cache else (cache_dir or ".lint_cache")
-        analyzer = ProjectAnalyzer(
-            config=config, cache_dir=resolved_cache,
-            reference_roots=_discover_reference_roots(roots))
+        analyzer = ProjectAnalyzer(config=config, cache_dir=resolved_cache)
         result = analyzer.run(roots)
         active = {r.rule_id for r in analyzer.engine.active_rules()}
         active |= {r.rule_id for r in analyzer.graph_rules}
@@ -177,7 +148,6 @@ def run_lint(
     cache_dir: Optional[Union[str, Path]] = None,
     no_cache: bool = False,
     fix: bool = False,
-    fix_mode: str = "rewrite",
     dry_run: bool = False,
     changed: bool = False,
     out: Callable[[str], None] = print,
@@ -186,15 +156,16 @@ def run_lint(
 
     Returns a process exit code (see module docstring).
     ``update_baseline`` rewrites the baseline to cover exactly the
-    current findings — preserving entries for rule families that did not
-    run in this invocation — and exits 0.  ``fix`` hands the kept (and,
-    in rewrite mode, baselined) findings to the autofix engine and
-    prints unified diffs instead of gating; ``dry_run`` previews without
-    writing.  ``changed`` scopes *reporting* to files changed vs git
-    HEAD (plus untracked): the analysis itself still covers the full
-    tree — whole-program rules need the whole program, and the
-    incremental cache makes the unchanged remainder nearly free — but
-    findings, the gate, and ``--fix`` apply to changed files only.
+    current findings — preserving entries for registered rules that did
+    not run in this invocation, dropping entries for ids no rule
+    registers — and exits 0.  ``fix`` hands the kept and baselined
+    findings to the autofix engine and prints unified diffs instead of
+    gating; ``dry_run`` previews without writing.  ``changed`` scopes
+    *reporting* to files changed vs git HEAD (plus untracked): the
+    analysis itself still covers the full tree — whole-program rules
+    need the whole program, and the incremental cache makes the
+    unchanged remainder nearly free — but findings, the gate, and
+    ``--fix`` apply to changed files only.
     """
     roots = [Path(p) for p in paths] if paths else [default_scan_root()]
     missing = [r for r in roots if not r.exists()]
@@ -241,8 +212,7 @@ def run_lint(
         fresh = Baseline.from_findings(report.findings, previous=baseline)
         # Keep grandfathered debt for rule families that did not execute
         # here (e.g. SL6xx entries during a per-file-only run).
-        inactive = [e for e in baseline.entries if e.rule not in active_rules]
-        fresh.entries.extend(inactive)
+        fresh.entries.extend(baseline.deferred(active_rules))
         fresh.save(target)
         out(f"wrote {len(report.findings)} finding(s) to {target}")
         return 0
@@ -258,7 +228,7 @@ def run_lint(
     parse_errors = [f for f in kept if f.rule == PARSE_ERROR_RULE]
 
     if fix:
-        return _run_fix(roots, kept, baselined, fix_mode, dry_run,
+        return _run_fix(roots, kept, baselined, dry_run,
                         bool(parse_errors), out)
 
     if fmt == "json":
@@ -288,24 +258,21 @@ def run_lint(
 
 
 def _run_fix(roots: Sequence[Path], kept: Sequence[Finding],
-             baselined: Sequence[Finding], fix_mode: str, dry_run: bool,
+             baselined: Sequence[Finding], dry_run: bool,
              had_parse_errors: bool, out: Callable[[str], None]) -> int:
-    """The ``--fix`` tail of a lint run: plan, preview, maybe write."""
-    from repro.lint.fix import MODE_REWRITE, fix_findings
+    """The ``--fix`` tail of a lint run: plan, preview, maybe write.
+
+    Grandfathered findings are repaired too — that is how the baseline
+    shrinks.
+    """
+    from repro.lint.fix import fix_findings
     from repro.lint.graph.analyzer import _iter_files
 
-    if fix_mode == MODE_REWRITE:
-        # Rewrite mode also repairs grandfathered debt — that is how the
-        # baseline shrinks — while suppress mode only annotates what the
-        # gate would currently fail on.
-        candidates = list(kept) + list(baselined)
-    else:
-        candidates = list(kept)
     rel_paths = {}
     for root in roots:
         for path, rel, _rootdir in _iter_files(root):
             rel_paths.setdefault(rel, path)
-    result = fix_findings(candidates, rel_paths, mode=fix_mode)
+    result = fix_findings(list(kept) + list(baselined), rel_paths)
     for ff in result.changed_files():
         out(ff.diff())
     changed = len(result.changed_files())
@@ -321,15 +288,13 @@ def _run_fix(roots: Sequence[Path], kept: Sequence[Finding],
 
 def run_graph_export(
     paths: Optional[Sequence[Union[str, Path]]] = None,
-    dot: bool = False,
-    focus: Optional[str] = None,
     config: Optional[LintConfig] = None,
     cache_dir: Optional[Union[str, Path]] = None,
     no_cache: bool = False,
     out: Callable[[str], None] = print,
 ) -> int:
-    """``repro lint graph``: project call-graph stats, or DOT with ``--dot``."""
-    from repro.lint.graph import ProjectAnalyzer, to_dot
+    """``repro lint graph``: project call-graph and cache stats."""
+    from repro.lint.graph import ProjectAnalyzer
 
     roots = [Path(p) for p in paths] if paths else [default_scan_root()]
     missing = [r for r in roots if not r.exists()]
@@ -340,13 +305,7 @@ def run_graph_export(
     if _config_errors(config, out):
         return 2
     resolved_cache = None if no_cache else (cache_dir or ".lint_cache")
-    analyzer = ProjectAnalyzer(
-        config=config, cache_dir=resolved_cache,
-        reference_roots=_discover_reference_roots(roots))
-    result = analyzer.run(roots)
-    if dot:
-        out(to_dot(result.graph, focus=focus))
-        return 0
+    result = ProjectAnalyzer(config=config, cache_dir=resolved_cache).run(roots)
     stats = result.graph.stats()
     for key in sorted(stats):
         out(f"{key}: {stats[key]}")

@@ -151,17 +151,15 @@ class TestBrokerCommand:
 
 class TestLintCli:
     def test_fix_flags_parse(self):
-        args = build_parser().parse_args(
-            ["lint", "src", "--fix", "--fix-mode", "suppress", "--dry-run"])
-        assert args.fix and args.fix_mode == "suppress" and args.dry_run
+        args = build_parser().parse_args(["lint", "src", "--fix", "--dry-run"])
+        assert args.fix and args.dry_run
 
-    def test_fix_mode_defaults_to_rewrite(self):
-        args = build_parser().parse_args(["lint", "--fix"])
-        assert args.fix_mode == "rewrite" and not args.dry_run
-
-    def test_bad_fix_mode_rejected(self):
+    @pytest.mark.parametrize("flag", [["--fix-mode", "suppress"], ["--dot"],
+                                      ["--focus", "repro.sim"]],
+                             ids=["fix-mode", "dot", "focus"])
+    def test_retired_lint_flags_rejected(self, flag):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["lint", "--fix", "--fix-mode", "yolo"])
+            build_parser().parse_args(["lint", "graph", *flag])
 
     def test_fix_dry_run_smoke(self, capsys, tmp_path):
         tree = tmp_path / "sim"

@@ -199,10 +199,10 @@ def test_stale_fingerprint_filename_is_never_read(proj, tmp_path):
 
 
 def test_v3_config_fields_change_fingerprint():
-    """layers / restricted_imports / hot_entrypoints are part of the
-    rule-set fingerprint: changing any of them must invalidate caches
-    (this is what keeps a PR-5-era warm cache from masking SL8xx/SL9xx
-    findings)."""
+    """layers / restricted_imports / worker_entrypoints /
+    atomic_write_files are part of the rule-set fingerprint: changing any
+    of them must invalidate caches (a warm cache from an older config
+    must never mask SL9xx/SL10xx findings)."""
     from dataclasses import replace
 
     def fp_of(config):
@@ -214,6 +214,8 @@ def test_v3_config_fields_change_fingerprint():
     base = fp_of(CFG)
     assert fp_of(replace(CFG, layers=(("sim",), ("util",)))) != base
     assert fp_of(replace(
-        CFG, hot_entrypoints=("sim.engine.step",))) != base
-    assert fp_of(replace(
         CFG, restricted_imports={"sim": frozenset({"cli"})})) != base
+    assert fp_of(replace(
+        CFG, worker_entrypoints=("sim.engine.step",))) != base
+    assert fp_of(replace(
+        CFG, atomic_write_files=frozenset({"sim/atomic.py"}))) != base

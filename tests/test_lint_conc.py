@@ -49,7 +49,7 @@ def _findings(result, prefix):
 
 def _conc_cfg(*entries, **kw):
     return LintConfig(model_packages=frozenset(), layers=(),
-                      restricted_imports={}, hot_entrypoints=(),
+                      restricted_imports={},
                       worker_entrypoints=entries, **kw)
 
 

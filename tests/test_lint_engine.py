@@ -204,12 +204,18 @@ class TestRunner:
         Baseline(entries=[
             BaselineEntry("sim/clock.py", "SL101", justification="fixture"),
             BaselineEntry("sim/gone.py", "SL102", justification="paid off"),
+            BaselineEntry("net/engine.py", "SL802", justification="retired"),
+            BaselineEntry("util/__init__.py", "SL904",
+                          justification="retired"),
         ]).save(baseline_path)
         lines = []
         code = run_lint([tmp_path], baseline_path=baseline_path,
                         out=lines.append)
         assert code == 0
         assert any("stale" in line for line in lines)
+        # Retired rule ids are stale even though no rule of theirs ran.
+        assert any("[SL802]" in line and "stale" in line for line in lines)
+        assert any("[SL904]" in line and "stale" in line for line in lines)
 
     def test_nonexistent_scan_path_is_operational_error(self, tmp_path):
         lines = []
@@ -234,6 +240,15 @@ class TestRunner:
     def test_update_baseline_writes_file_and_next_run_is_clean(self, tmp_path):
         write_module(tmp_path, "sim/clock.py", CLOCK_SNIPPET)
         baseline_path = tmp_path / "lint_baseline.json"
+        # Prior entries: graph-rule debt this per-file run cannot judge,
+        # and two retired rule ids.
+        Baseline(entries=[
+            BaselineEntry("net/engine.py", "SL802", justification="retired"),
+            BaselineEntry("util/__init__.py", "SL904",
+                          justification="retired"),
+            BaselineEntry("util/clockish.py", "SL601",
+                          justification="graph debt"),
+        ]).save(baseline_path)
         code = run_lint([tmp_path], baseline_path=baseline_path,
                         update_baseline=True, out=lambda s: None)
         assert code == 0
@@ -241,6 +256,9 @@ class TestRunner:
         assert data["version"] == 1
         assert data["entries"][0]["file"] == "sim/clock.py"
         assert data["entries"][0]["rule"] == "SL101"
+        # SL601 did not run and is kept; the retired ids are dropped.
+        assert [(e["file"], e["rule"]) for e in data["entries"]] == [
+            ("sim/clock.py", "SL101"), ("util/clockish.py", "SL601")]
         # the freshly written baseline makes the same tree pass
         assert run_lint([tmp_path], baseline_path=baseline_path,
                         out=lambda s: None) == 0

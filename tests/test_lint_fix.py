@@ -4,9 +4,8 @@ Each fixer gets a golden before/after fixture (byte-exact comparison —
 the rewriters promise token preservation, so the expected output is
 fully determined).  On top of the per-fixer goldens the suite pins the
 engine-level contracts: fixing twice equals fixing once, ``--dry-run``
-writes nothing, suppress mode silences what it annotates, and a fixed
-copy of the real ``src/repro`` still passes the RNG byte-determinism
-tests in a subprocess.
+writes nothing, and a fixed copy of the real ``src/repro`` still passes
+the RNG byte-determinism tests in a subprocess.
 """
 
 import hashlib
@@ -21,22 +20,14 @@ import pytest
 
 from repro.lint import LintEngine, run_lint
 from repro.lint.config import LintConfig
-from repro.lint.fix import (
-    FIXABLE_RULES,
-    MODE_REWRITE,
-    MODE_SUPPRESS,
-    apply_edits,
-    fix_findings,
-    plan_edits,
-)
-from repro.lint.graph import ProjectAnalyzer
+from repro.lint.fix import FIXABLE_RULES, apply_edits, fix_findings, plan_edits
 
 pytestmark = pytest.mark.lint
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 CFG = LintConfig(model_packages=frozenset({"sim"}), layers=(),
-                 restricted_imports={}, hot_entrypoints=())
+                 restricted_imports={})
 
 
 def _project(tmp_path: Path, files: dict) -> Path:
@@ -52,16 +43,12 @@ def _project(tmp_path: Path, files: dict) -> Path:
     return root
 
 
-def _fix_tree(root: Path, config=CFG, graph=False, mode=MODE_REWRITE):
+def _fix_tree(root: Path, config=CFG):
     """Lint *root*, fix everything fixable, return the FixResult."""
-    if graph:
-        result = ProjectAnalyzer(config=config, cache_dir=None).run([root])
-        findings = result.report.findings
-    else:
-        findings = LintEngine(config=config).lint_tree(root).findings
+    findings = LintEngine(config=config).lint_tree(root).findings
     rel_paths = {p.relative_to(root).as_posix(): p
                  for p in root.rglob("*.py")}
-    return fix_findings(findings, rel_paths, mode=mode)
+    return fix_findings(findings, rel_paths)
 
 
 def _tree_hash(root: Path) -> str:
@@ -151,75 +138,25 @@ def test_sl201_golden_reuses_existing_binding(tmp_path):
     assert (root / "sim" / "mod.py").read_text(encoding="utf-8") == after
 
 
-# -- SL802: hoist a hot attribute chain --------------------------------
-
-
-HOT_CFG = LintConfig(model_packages=frozenset(), layers=(),
-                     restricted_imports={},
-                     hot_entrypoints=("sim.engine.Kernel.run",))
-
-SL802_BEFORE = (
-    "class Kernel:\n"
-    "    def run(self, items):\n"
-    "        for it in items:\n"
-    "            self.out.push(it)\n"
-    "            self.out.push(it + 1)\n"
-)
-
-SL802_AFTER = (
-    "class Kernel:\n"
-    "    def run(self, items):\n"
-    "        out_push = self.out.push\n"
-    "        for it in items:\n"
-    "            out_push(it)\n"
-    "            out_push(it + 1)\n"
-)
-
-
-def test_sl802_golden_hoists_chain(tmp_path):
-    root = _project(tmp_path, {"sim/engine.py": SL802_BEFORE})
-    result = _fix_tree(root, config=HOT_CFG, graph=True)
-    assert [f.rule for f in result.fixed] == ["SL802"]
-    result.write()
-    assert (root / "sim" / "engine.py").read_text(encoding="utf-8") \
-        == SL802_AFTER
-
-
-def test_sl802_hoist_name_collision_uses_fallback(tmp_path):
-    before = SL802_BEFORE.replace(
-        "for it in items:",
-        "out_push = None\n        for it in items:")
-    root = _project(tmp_path, {"sim/engine.py": before})
-    result = _fix_tree(root, config=HOT_CFG, graph=True)
-    result.write()
-    fixed = (root / "sim" / "engine.py").read_text(encoding="utf-8")
-    assert "out_push_hoisted = self.out.push" in fixed
-    assert "out_push_hoisted(it)" in fixed
-
-
-def test_sl802_double_collision_skips_not_guesses(tmp_path):
-    before = SL802_BEFORE.replace(
-        "for it in items:",
-        "out_push = out_push_hoisted = None\n        for it in items:")
-    root = _project(tmp_path, {"sim/engine.py": before})
-    result = _fix_tree(root, config=HOT_CFG, graph=True)
-    assert result.fixed == []
-    assert [f.rule for f in result.skipped] == ["SL802"]
-    assert (root / "sim" / "engine.py").read_text(encoding="utf-8") == before
-
-
 # -- engine contracts --------------------------------------------------
 
+
+#: A worker-reachable non-atomic write: the SL1002 rewriter's input.
+SL1002_BEFORE = (
+    "def child_main(path, body):\n"
+    "    path.write_text(body, encoding=\"utf-8\")\n"
+    "    return path\n"
+)
 
 MIXED_FILES = {
     "sim/mod.py": SL104_BEFORE,
     "sim/sizes.py": SL201_BEFORE,
-    "sim/engine.py": SL802_BEFORE,
+    "sim/engine.py": SL1002_BEFORE,
 }
 
 MIXED_CFG = LintConfig(model_packages=frozenset({"sim"}), layers=(),
                        restricted_imports={},
-                       hot_entrypoints=("sim.engine.Kernel.run",))
+                       worker_entrypoints=("sim.engine.child_main",))
 
 
 def _run_lint_fix(root, **kw):
@@ -263,33 +200,6 @@ def test_dry_run_leaves_tree_untouched(tmp_path):
     assert "--- a/sim/engine.py" in out
     assert "+++ b/sim/engine.py" in out
     assert _tree_hash(root) == before
-
-
-def test_suppress_mode_inserts_marker_and_silences(tmp_path):
-    root = _project(tmp_path, {"sim/mod.py": SL104_BEFORE})
-    code, out = _run_lint_fix(root, fix_mode=MODE_SUPPRESS)
-    assert code == 0
-    fixed = (root / "sim" / "mod.py").read_text(encoding="utf-8")
-    assert "# simlint: ignore[SL104]" in fixed
-
-    sink = io.StringIO()
-    code = run_lint([root], graph=True, no_cache=True, no_baseline=True,
-                    config=MIXED_CFG, out=lambda s: sink.write(s + "\n"))
-    assert code == 0
-    assert "1 suppressed" in sink.getvalue()
-
-
-def test_suppress_mode_is_idempotent(tmp_path):
-    root = _project(tmp_path, {"sim/mod.py": SL104_BEFORE})
-    _run_lint_fix(root, fix_mode=MODE_SUPPRESS)
-    once = _tree_hash(root)
-    _run_lint_fix(root, fix_mode=MODE_SUPPRESS)
-    assert _tree_hash(root) == once
-
-
-def test_unknown_fix_mode_raises():
-    with pytest.raises(ValueError):
-        fix_findings([], {}, mode="yolo")
 
 
 def test_apply_edits_refuses_overlap():

@@ -1,4 +1,4 @@
-"""Behavior of the whole-program rule families (SL6xx taint, SL7xx units).
+"""Behavior of the SL6xx transitive-determinism taint rules.
 
 Each test builds a tiny multi-module project on disk, runs the
 :class:`repro.lint.graph.ProjectAnalyzer` over it with ``sim`` as the
@@ -222,120 +222,25 @@ def test_method_call_through_self_resolves(tmp_path):
     assert "proj.util.clockish.Clock._raw" in sl601[0].message
 
 
-# -- SL7xx: unit dataflow ------------------------------------------------
-
-
-def test_sl701_mixed_unit_arithmetic(tmp_path):
-    result = _run(tmp_path, {
-        "sim/engine.py": (
-            "def total(payload_mb, duration_s):\n"
-            "    return payload_mb + duration_s\n\n\n"
-            "def fine(size_mb, other_mb):\n"
-            "    return size_mb + other_mb\n\n\n"
-            "def ratio(size_bytes, duration_s):\n"
-            "    return size_bytes / duration_s\n"
-        ),
-    })
-    sl701 = [f for f in result.report.findings if f.rule == "SL701"]
-    assert len(sl701) == 1
-    assert "'mb'" in sl701[0].message and "'s'" in sl701[0].message
-
-
-def test_sl702_contradicting_argument_binding(tmp_path):
-    result = _run(tmp_path, {
-        "util/send.py": (
-            "def send(size_bytes):\n"
-            "    return size_bytes\n"
-        ),
-        "sim/engine.py": (
-            "from proj.util.send import send\n\n\n"
-            "def bad():\n"
-            "    latency_s = 3.0\n"
-            "    return send(latency_s)\n\n\n"
-            "def good():\n"
-            "    payload_bytes = 4096\n"
-            "    return send(payload_bytes)\n\n\n"
-            "def kw_bad():\n"
-            "    window_s = 1.0\n"
-            "    return send(size_bytes=window_s)\n"
-        ),
-    })
-    sl702 = [f for f in result.report.findings if f.rule == "SL702"]
-    assert len(sl702) == 2
-    for f in sl702:
-        assert "size_bytes" in f.message and "'s'" in f.message
-
-
-def test_sl702_unit_flows_through_converter_return(tmp_path):
-    """``units.mb`` returns bytes, so feeding it to a ``_bytes``
-    parameter is clean while feeding it to ``_s`` contradicts."""
-    result = _run(tmp_path, {
-        "util/send.py": (
-            "def send(size_bytes):\n"
-            "    return size_bytes\n\n\n"
-            "def wait(timeout_s):\n"
-            "    return timeout_s\n"
-        ),
-        "sim/engine.py": (
-            "from repro import units\n\n"
-            "from proj.util.send import send, wait\n\n\n"
-            "def good(n):\n"
-            "    return send(units.mb(n))\n\n\n"
-            "def bad(n):\n"
-            "    return wait(units.mb(n))\n"
-        ),
-    })
-    sl702 = [f for f in result.report.findings if f.rule == "SL702"]
-    assert len(sl702) == 1
-    assert "timeout_s" in sl702[0].message
-    assert "'bytes'" in sl702[0].message
-
-
-def test_sl703_assignment_contradicts_callee_unit(tmp_path):
-    result = _run(tmp_path, {
-        "util/conv.py": (
-            "from repro import units\n\n\n"
-            "def chunk_bytes(n):\n"
-            "    return units.mb(n)\n"
-        ),
-        "sim/engine.py": (
-            "from proj.util.conv import chunk_bytes\n\n\n"
-            "def bad():\n"
-            "    duration_s = chunk_bytes(5)\n"
-            "    return duration_s\n\n\n"
-            "def good():\n"
-            "    size_bytes = chunk_bytes(5)\n"
-            "    return size_bytes\n"
-        ),
-    })
-    sl703 = [f for f in result.report.findings if f.rule == "SL703"]
-    assert len(sl703) == 1
-    assert "duration_s" in sl703[0].message
-
-
-def test_sl7xx_unresolved_call_terms_never_fire(tmp_path):
-    """A call with no known return unit must not produce findings."""
-    result = _run(tmp_path, {
-        "sim/engine.py": (
-            "def check(xs, max_bytes):\n"
-            "    return len(xs) > max_bytes\n"
-        ),
-    })
-    assert [f.rule for f in result.report.findings] == []
-
-
 # -- baseline interaction -------------------------------------------------
 
 
 def test_graph_rule_baseline_entries_not_stale_in_per_file_run():
-    """A per-file-only run must not mark SL6xx baseline debt as stale."""
+    """A per-file-only run must not mark SL6xx baseline debt as stale.
+
+    Ids no rule registers any more (the retired SL802 and SL904) are
+    never deferred: every run reports them stale.
+    """
     baseline = Baseline(entries=[
+        BaselineEntry(file="net/engine.py", rule="SL802"),
         BaselineEntry(file="util/clockish.py", rule="SL601",
                       justification="known debt"),
+        BaselineEntry(file="util/__init__.py", rule="SL904"),
     ])
     kept, baselined, stale = baseline.filter(
         [], active_rules={"SL101", "SL201"})
-    assert (kept, baselined, stale) == ([], [], [])
+    assert (kept, baselined) == ([], [])
+    assert [e.rule for e in stale] == ["SL802", "SL904"]
     # ...while a run that *did* execute SL601 reports it stale:
     _, _, stale = baseline.filter([], active_rules={"SL101", "SL601"})
-    assert [e.rule for e in stale] == ["SL601"]
+    assert [e.rule for e in stale] == ["SL802", "SL601", "SL904"]

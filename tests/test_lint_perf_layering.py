@@ -1,9 +1,9 @@
-"""Behavior of the SL8xx hot-path and SL9xx layering rule families.
+"""Behavior of the SL9xx layering rule family.
 
 Each test builds a tiny multi-module project on disk and runs the
 whole-program analyzer over it with a purpose-built
-:class:`~repro.lint.config.LintConfig` — a two- or three-layer DAG and
-a single hot entrypoint — then asserts on exactly which findings fire.
+:class:`~repro.lint.config.LintConfig` — a two- or three-layer DAG —
+then asserts on exactly which findings fire.
 The configuration-validation tests at the bottom pin the SL001 / exit-2
 contract for every structural misconfiguration.
 """
@@ -34,11 +34,9 @@ def _project(tmp_path: Path, files: dict) -> Path:
     return root
 
 
-def _run(tmp_path: Path, files: dict, config: LintConfig,
-         reference_roots=None):
+def _run(tmp_path: Path, files: dict, config: LintConfig):
     root = _project(tmp_path, files)
-    analyzer = ProjectAnalyzer(config=config, cache_dir=None,
-                               reference_roots=reference_roots)
+    analyzer = ProjectAnalyzer(config=config, cache_dir=None)
     return analyzer.run([root])
 
 
@@ -46,151 +44,12 @@ def _findings(result, prefix):
     return [f for f in result.report.findings if f.rule.startswith(prefix)]
 
 
-# -- SL8xx: hot-path performance ---------------------------------------
-
-
-def _perf_cfg(*entries):
-    return LintConfig(model_packages=frozenset(), layers=(),
-                      restricted_imports={}, hot_entrypoints=entries)
-
-
-def test_sl801_fresh_container_in_hot_loop(tmp_path):
-    result = _run(tmp_path, {
-        "sim/engine.py": (
-            "def step(events, sink):\n"
-            "    for e in events:\n"
-            "        buf = []\n"
-            "        buf.append(e)\n"
-            "        sink(buf)\n"
-        ),
-    }, _perf_cfg("sim.engine.step"))
-    sl801 = _findings(result, "SL801")
-    assert len(sl801) == 1
-    f = sl801[0]
-    assert f.severity is Severity.WARNING
-    assert "fresh list `buf`" in f.message
-    assert "proj.sim.engine.step" in f.message
-    assert "reachable from sim.engine.step" in f.message
-
-
-def test_sl802_repeated_attribute_chain_in_hot_loop(tmp_path):
-    result = _run(tmp_path, {
-        "sim/engine.py": (
-            "class Kernel:\n"
-            "    def run(self, items):\n"
-            "        for it in items:\n"
-            "            self.out.push(it)\n"
-            "            self.out.push(it + 1)\n"
-        ),
-    }, _perf_cfg("sim.engine.Kernel.run"))
-    sl802 = _findings(result, "SL802")
-    assert len(sl802) == 1
-    assert "`self.out.push` is resolved 2x per iteration" in sl802[0].message
-    assert "hoist it into a local before the loop" in sl802[0].message
-
-
-def test_sl803_exception_control_flow_in_hot_loop(tmp_path):
-    result = _run(tmp_path, {
-        "sim/engine.py": (
-            "def drain(queue, counts):\n"
-            "    for item in queue:\n"
-            "        try:\n"
-            "            counts[item] += 1\n"
-            "        except KeyError:\n"
-            "            counts[item] = 1\n"
-        ),
-    }, _perf_cfg("sim.engine.drain"))
-    sl803 = _findings(result, "SL803")
-    assert len(sl803) == 1
-    assert "try/except KeyError" in sl803[0].message
-    assert "lookup or guard" in sl803[0].message
-
-
-def test_sl804_list_membership_in_hot_loop(tmp_path):
-    result = _run(tmp_path, {
-        "sim/engine.py": (
-            "def dedup(xs):\n"
-            "    seen = []\n"
-            "    out = []\n"
-            "    for x in xs:\n"
-            "        if x in seen:\n"
-            "            continue\n"
-            "        seen.append(x)\n"
-            "        out.append(x)\n"
-            "    return out\n"
-        ),
-    }, _perf_cfg("sim.engine.dedup"))
-    sl804 = _findings(result, "SL804")
-    assert len(sl804) == 1
-    assert "membership test against list `seen`" in sl804[0].message
-    assert "use a set or dict" in sl804[0].message
-
-
-def test_cold_code_with_same_patterns_is_silent(tmp_path):
-    """The same four anti-patterns outside the hot set produce nothing."""
-    result = _run(tmp_path, {
-        "sim/engine.py": (
-            "def step(events):\n"
-            "    return list(events)\n"
-        ),
-        "sim/setup.py": (
-            "def build(rows, sink):\n"
-            "    seen = []\n"
-            "    for r in rows:\n"
-            "        buf = []\n"
-            "        sink.out.push(r)\n"
-            "        sink.out.push(buf)\n"
-            "        try:\n"
-            "            seen[0] += 1\n"
-            "        except IndexError:\n"
-            "            pass\n"
-            "        if r in seen:\n"
-            "            continue\n"
-        ),
-    }, _perf_cfg("sim.engine.step"))
-    assert _findings(result, "SL8") == []
-
-
-def test_hot_set_follows_calls_transitively(tmp_path):
-    """A helper only *called from* the entrypoint is still hot."""
-    result = _run(tmp_path, {
-        "sim/engine.py": (
-            "from proj.sim.helpers import flush\n\n\n"
-            "def step(events, sink):\n"
-            "    flush(events, sink)\n"
-        ),
-        "sim/helpers.py": (
-            "def flush(events, sink):\n"
-            "    for e in events:\n"
-            "        scratch = {}\n"
-            "        sink(e, scratch)\n"
-        ),
-    }, _perf_cfg("sim.engine.step"))
-    sl801 = _findings(result, "SL801")
-    assert len(sl801) == 1
-    assert "proj.sim.helpers.flush" in sl801[0].message
-    assert "reachable from sim.engine.step" in sl801[0].message
-
-
-def test_no_hot_entrypoints_disables_sl8xx(tmp_path):
-    result = _run(tmp_path, {
-        "sim/engine.py": (
-            "def step(events):\n"
-            "    for e in events:\n"
-            "        buf = []\n"
-            "        buf.append(e)\n"
-        ),
-    }, _perf_cfg())
-    assert _findings(result, "SL8") == []
-
-
 # -- SL9xx: architecture layering --------------------------------------
 
 
 def _layer_cfg(layers, restricted=None):
     return LintConfig(model_packages=frozenset(), layers=layers,
-                      restricted_imports=restricted or {},
-                      hot_entrypoints=())
+                      restricted_imports=restricted or {})
 
 
 def test_sl901_upward_import(tmp_path):
@@ -274,44 +133,6 @@ def test_sl903_function_scope_import_breaks_cycle(tmp_path):
     assert _findings(result, "SL903") == []
 
 
-def test_sl904_dead_export(tmp_path):
-    result = _run(tmp_path, {
-        "util/__init__.py": (
-            "from proj.util.impl import dead_name, used_name\n\n"
-            "__all__ = [\"dead_name\", \"used_name\"]\n"
-        ),
-        "util/impl.py": (
-            "def used_name():\n    return 1\n\n\n"
-            "def dead_name():\n    return 2\n"
-        ),
-        "sim/app.py": (
-            "from proj.util import used_name\n\n\n"
-            "def run():\n    return used_name()\n"
-        ),
-    }, _layer_cfg((("util",), ("sim",))))
-    sl904 = _findings(result, "SL904")
-    assert len(sl904) == 1
-    f = sl904[0]
-    assert f.severity is Severity.WARNING
-    assert "`dead_name` is exported from proj.util" in f.message
-
-
-def test_sl904_reference_corpus_counts_as_use(tmp_path):
-    docs = tmp_path / "docs"
-    docs.mkdir()
-    (docs / "api.md").write_text("Call `dead_name()` to do the thing.\n",
-                                 encoding="utf-8")
-    result = _run(tmp_path, {
-        "util/__init__.py": (
-            "from proj.util.impl import dead_name\n\n"
-            "__all__ = [\"dead_name\"]\n"
-        ),
-        "util/impl.py": "def dead_name():\n    return 2\n",
-        "sim/app.py": "def run():\n    return 0\n",
-    }, _layer_cfg((("util",), ("sim",))), reference_roots=[docs])
-    assert _findings(result, "SL904") == []
-
-
 def test_empty_layer_dag_disables_sl9xx(tmp_path):
     result = _run(tmp_path, {
         "util/helpers.py": "from proj.sim.engine import step\n",
@@ -347,7 +168,7 @@ def _lint_with(tmp_path, cfg):
 
 def test_config_duplicate_package_across_layers(tmp_path):
     cfg = LintConfig(layers=(("sim",), ("sim", "net")),
-                     restricted_imports={}, hot_entrypoints=())
+                     restricted_imports={})
     assert "more than one layer" in cfg.validate()[0]
     code, out = _lint_with(tmp_path, cfg)
     assert code == 2
@@ -358,8 +179,7 @@ def test_config_duplicate_package_across_layers(tmp_path):
 
 def test_config_restricted_target_not_in_dag(tmp_path):
     cfg = LintConfig(layers=(("sim",),),
-                     restricted_imports={"ghost": frozenset({"sim"})},
-                     hot_entrypoints=())
+                     restricted_imports={"ghost": frozenset({"sim"})})
     code, out = _lint_with(tmp_path, cfg)
     assert code == 2
     assert "restricted_imports names unknown package 'ghost'" in out
@@ -367,27 +187,19 @@ def test_config_restricted_target_not_in_dag(tmp_path):
 
 def test_config_restricted_importer_not_in_dag(tmp_path):
     cfg = LintConfig(layers=(("sim",),),
-                     restricted_imports={"sim": frozenset({"ghost"})},
-                     hot_entrypoints=())
+                     restricted_imports={"sim": frozenset({"ghost"})})
     code, out = _lint_with(tmp_path, cfg)
     assert code == 2
     assert "allows unknown package 'ghost' to import 'sim'" in out
 
 
-def test_config_hot_entrypoint_not_dotted(tmp_path):
+def test_config_worker_entrypoint_unknown_package(tmp_path):
     cfg = LintConfig(layers=(("sim",),), restricted_imports={},
-                     hot_entrypoints=("step",))
+                     worker_entrypoints=("ghost.engine.step",))
     code, out = _lint_with(tmp_path, cfg)
     assert code == 2
-    assert "must be a dotted path" in out
-
-
-def test_config_hot_entrypoint_unknown_package(tmp_path):
-    cfg = LintConfig(layers=(("sim",),), restricted_imports={},
-                     hot_entrypoints=("ghost.engine.step",))
-    code, out = _lint_with(tmp_path, cfg)
-    assert code == 2
-    assert "hot entrypoint 'ghost.engine.step' names unknown package" in out
+    assert "worker entrypoint 'ghost.engine.step' names unknown package" \
+        in out
 
 
 def test_default_config_validates_clean():
