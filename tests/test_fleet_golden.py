@@ -20,11 +20,15 @@ import json
 
 import pytest
 
-from repro.broker import run_fleet
+from repro.broker import BrokerConfig, BrokerSweepSpec, FleetCell, run_fleet
+from repro.broker.directory import DirectoryEntry, DirectorySnapshot
+from repro.campaign.spec import CampaignCell
 from repro.net import NetworkEngine
 from repro.net.topology import Link, Node, NodeKind, Topology
 from repro.sim import Simulator
-from repro.topo import generate, preset_spec
+from repro.shard import ShardPlan
+from repro.testbed.build import case_study_topo_spec
+from repro.topo import TopoSpec, generate, preset_spec
 from repro.units import mb, mbps, ms
 from repro.workloads import sample_sites
 
@@ -90,3 +94,159 @@ def test_link_failure_mid_transfer_rates():
     assert seen == [(2.0, 44999999.0, 1.0), (4.0, 25000000.0, 20000000.0)]
     assert a.done.value.end_time == 11.200000079999999
     assert b.done.value.end_time == 17.9999999
+
+
+# -- golden content keys -----------------------------------------------------
+#
+# Every content-derived name the broker persists under: campaign cell
+# keys, shard cell keys and plan keys, published site-report names,
+# directory snapshot hashes, and world hashes.  Stored campaign records
+# and published artifacts are found again only by these names, so a
+# refactor of how identities are built must leave every byte in place.
+# Each key is checked twice: computed on the live object, and computed
+# again after the identity went through a JSON round trip and was
+# revived (the path a resumed campaign or a merge takes).
+
+SMOKE = preset_spec("smoke", seed=0)
+SMOKE_SITES = ("w9aca80-c0000", "w9aca80-c0001", "w9aca80-c0002")
+CASE_SITES = ("ubc", "purdue", "ucla")
+WARM = DirectorySnapshot((DirectoryEntry(
+    client_site="ubc", provider_name="gdrive", size_class="le64MB",
+    route_descr="via ualberta", installed_s=10.0, expires_s=3610.0,
+    source="probe"),))
+
+
+def _round_trip(payload):
+    return json.loads(json.dumps(payload))
+
+
+def _cell_keys(cell):
+    revived = type(cell).from_identity(_round_trip(cell.identity()))
+    return cell.key, revived.key
+
+
+def _sweep_cell(mode):
+    cells = BrokerSweepSpec(config=BrokerConfig()).expand()
+    return next(c for c in cells if c.mode == mode)
+
+
+def _plan(world):
+    if world == "smoke":
+        return ShardPlan(sites=SMOKE_SITES, n_shards=2,
+                         config=BrokerConfig(), topo=SMOKE)
+    return ShardPlan(sites=CASE_SITES, n_shards=2, config=BrokerConfig())
+
+
+def _shard_cell(world, shard_index, mode):
+    cells = _plan(world).expand(warm=WARM)
+    return next(c for c in cells
+                if c.shard_index == shard_index and c.mode == mode)
+
+
+def _plan_keys(world):
+    plan = _plan(world)
+    return plan.plan_key, ShardPlan.from_dict(
+        _round_trip(plan.canonical_dict())).plan_key
+
+
+def _report_names(world, site, mode):
+    plan = _plan(world)
+    revived = ShardPlan.from_dict(_round_trip(plan.canonical_dict()))
+    warm_hash = WARM.content_hash()[:24]
+    return (plan.site_report_name(site, mode, warm_hash),
+            revived.site_report_name(site, mode, warm_hash))
+
+
+def _snapshot_hashes(snapshot):
+    revived = DirectorySnapshot.from_dict(_round_trip(snapshot.to_dict()))
+    return snapshot.content_hash(), revived.content_hash()
+
+
+def _topo_hashes(spec):
+    revived = TopoSpec.from_dict(_round_trip(spec.canonical_dict()))
+    return spec.content_hash(), revived.content_hash()
+
+
+_KEY_BUILDERS = {
+    "campaign-cell": lambda: _cell_keys(
+        CampaignCell("ubc", "gdrive", "via ualberta", 100.0, seed=2)),
+    "fleet/direct": lambda: _cell_keys(_sweep_cell("direct")),
+    "fleet/static:via ualberta": lambda: _cell_keys(
+        _sweep_cell("static:via ualberta")),
+    "fleet/static:via umich": lambda: _cell_keys(
+        _sweep_cell("static:via umich")),
+    "fleet/broker": lambda: _cell_keys(_sweep_cell("broker")),
+    "fleet/smoke-broker": lambda: _cell_keys(FleetCell(
+        sites=SMOKE_SITES[:2], provider="gdrive", mode="broker",
+        n_uploads_per_site=3, mean_interarrival_s=60.0, mean_size_mb=10.0,
+        cross_traffic=False, config=BrokerConfig(), topo=SMOKE)),
+    "shard/case-study/0/direct": lambda: _cell_keys(
+        _shard_cell("case-study", 0, "direct")),
+    "shard/case-study/0/broker": lambda: _cell_keys(
+        _shard_cell("case-study", 0, "broker")),
+    "shard/case-study/1/direct": lambda: _cell_keys(
+        _shard_cell("case-study", 1, "direct")),
+    "shard/case-study/1/broker": lambda: _cell_keys(
+        _shard_cell("case-study", 1, "broker")),
+    "shard/smoke/0/direct": lambda: _cell_keys(
+        _shard_cell("smoke", 0, "direct")),
+    "shard/smoke/0/broker": lambda: _cell_keys(
+        _shard_cell("smoke", 0, "broker")),
+    "shard/smoke/1/direct": lambda: _cell_keys(
+        _shard_cell("smoke", 1, "direct")),
+    "shard/smoke/1/broker": lambda: _cell_keys(
+        _shard_cell("smoke", 1, "broker")),
+    "plan/case-study": lambda: _plan_keys("case-study"),
+    "plan/smoke": lambda: _plan_keys("smoke"),
+    "report/case-study/ubc/broker": lambda: _report_names(
+        "case-study", "ubc", "broker"),
+    "report/case-study/ucla/direct": lambda: _report_names(
+        "case-study", "ucla", "direct"),
+    "report/smoke/broker": lambda: _report_names(
+        "smoke", SMOKE_SITES[0], "broker"),
+    "snapshot/empty": lambda: _snapshot_hashes(DirectorySnapshot()),
+    "snapshot/one-entry": lambda: _snapshot_hashes(WARM),
+    "topo/smoke": lambda: _topo_hashes(SMOKE),
+    "topo/case-study": lambda: _topo_hashes(case_study_topo_spec()),
+}
+
+GOLDEN_KEYS = {
+    "campaign-cell": "8fe32882979b42da8101f1a6",
+    "fleet/broker": "6c544d07b85a408a0a64cba4",
+    "fleet/direct": "fae6092eccb35bc5a29e9a02",
+    "fleet/smoke-broker": "8501145200684af1d881374a",
+    "fleet/static:via ualberta": "34091305071a10ff453373dd",
+    "fleet/static:via umich": "657d74429cae5f8ad7c2cb20",
+    "plan/case-study": "daeb86fd9e5efb0b30a42a1b",
+    "plan/smoke": "6592f1943a4a282e84a4560c",
+    "report/case-study/ubc/broker": "site-d8f9960be0a1d645923152fb",
+    "report/case-study/ucla/direct": "site-d3e4ee427beddf652a48cdd4",
+    "report/smoke/broker": "site-cfd66c427663dfa6b95b71e7",
+    "shard/case-study/0/broker": "c9cadccd58ed139dc8b13164",
+    "shard/case-study/0/direct": "7c0b62f3bac4e3fde9b4854e",
+    "shard/case-study/1/broker": "e53e0b3f72bc2a8f08566bd4",
+    "shard/case-study/1/direct": "ee6b0c7bffd13a7e4cb1959b",
+    "shard/smoke/0/broker": "e823ae08f6ba5dfa3b1539cf",
+    "shard/smoke/0/direct": "1ebb38a7886b99f0af437a21",
+    "shard/smoke/1/broker": "a1f0a9433197829dc8378f6a",
+    "shard/smoke/1/direct": "243b4615424e1d95b9dbd048",
+    "snapshot/empty":
+        "a6a20076da005b27c9afc3a5d5b2457798c0ac817d1abc38b2fee4398ac3f133",
+    "snapshot/one-entry":
+        "85fb1d744091b3f01b79448752e8b600fd5cd4a8c93723843285c780308f0083",
+    "topo/case-study":
+        "c34c3eedca0c748e36c5af327f53bca30f5f5006a392e4583dc9ce6540de7d3f",
+    "topo/smoke":
+        "9aca806c544f9428a59cd82922c41b8be809be38b456f2b1bce01df02183bdf8",
+}
+
+
+def test_golden_table_covers_every_builder():
+    assert sorted(GOLDEN_KEYS) == sorted(_KEY_BUILDERS)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_KEYS))
+def test_golden_content_key(name):
+    key, revived_key = _KEY_BUILDERS[name]()
+    assert key == GOLDEN_KEYS[name]
+    assert revived_key == GOLDEN_KEYS[name]
