@@ -20,12 +20,11 @@ execution, and canonical export for free.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.campaign.store import register_cell_type
+from repro.core.identity import content_key
 from repro.errors import BrokerError, CampaignError
 from repro.measure.harness import ExperimentProtocol, Measurement, experiment_seed
 from repro.measure.stats import summarize
@@ -33,14 +32,75 @@ from repro.measure.stats import summarize
 from repro.topo.spec import TopoSpec
 
 from repro.broker.config import BrokerConfig
-from repro.broker.fleet import _parse_mode, run_fleet
+from repro.broker.fleet import parse_mode, run_fleet
 
-__all__ = ["FleetCell", "BrokerSweepSpec", "SweepSummary", "score_sweep"]
+__all__ = ["FleetCell", "BrokerSweepSpec", "SweepSummary", "score_sweep",
+           "workload_fields", "workload_identity"]
 
 FLEET_CELL_TYPE = "broker-fleet"
 
 #: Bump when a change to the fleet execution path invalidates stored cells.
 FLEET_CELL_VERSION = 1
+
+
+def workload_identity(w) -> Dict[str, object]:
+    """JSON identity of the fleet workload *w* describes.
+
+    *w* is anything carrying the ten workload fields — a
+    :class:`FleetCell`, a shard cell, a shard plan.  A world rides as
+    its content hash plus the spec itself: the hash names the world
+    (and guards reconstruction), the spec makes the identity
+    self-contained.  Without a world the ``topo`` key is absent, so
+    pre-topo keys stand.
+    """
+    ident: Dict[str, object] = {
+        "sites": list(w.sites),
+        "provider": w.provider,
+        "n_uploads_per_site": int(w.n_uploads_per_site),
+        "mean_interarrival_s": float(w.mean_interarrival_s),
+        "mean_size_mb": float(w.mean_size_mb),
+        "size_dist": w.size_dist,
+        "seed": int(w.seed),
+        "cross_traffic": bool(w.cross_traffic),
+        "config": None if w.config is None else asdict(w.config),
+    }
+    if w.topo is not None:
+        ident["topo"] = {"hash": w.topo.content_hash(),
+                         "spec": w.topo.canonical_dict()}
+    return ident
+
+
+def workload_fields(ident: Mapping[str, object]) -> Dict[str, object]:
+    """Constructor keywords revived from a :func:`workload_identity`.
+
+    Raises :class:`~repro.errors.CampaignError` when a carried world
+    spec does not hash to the name it was stored under.
+    """
+    config = ident["config"]
+    if config is not None:
+        config = BrokerConfig(**{
+            **config,
+            "size_class_edges_mb": tuple(config["size_class_edges_mb"])})
+    topo_ident = ident.get("topo")
+    topo = None
+    if topo_ident is not None:
+        topo = TopoSpec.from_dict(topo_ident["spec"])
+        if topo.content_hash() != topo_ident["hash"]:
+            raise CampaignError(
+                f"fleet workload topo hash {topo_ident['hash']!r} does not "
+                f"match its spec (got {topo.content_hash()!r})")
+    return dict(
+        sites=tuple(ident["sites"]),
+        provider=ident["provider"],
+        n_uploads_per_site=int(ident["n_uploads_per_site"]),
+        mean_interarrival_s=float(ident["mean_interarrival_s"]),
+        mean_size_mb=float(ident["mean_size_mb"]),
+        size_dist=ident["size_dist"],
+        seed=int(ident["seed"]),
+        cross_traffic=bool(ident["cross_traffic"]),
+        config=config,
+        topo=topo,
+    )
 
 
 @dataclass(frozen=True)
@@ -64,7 +124,7 @@ class FleetCell:
     def __post_init__(self) -> None:
         if not self.sites:
             raise CampaignError("fleet cell needs at least one site")
-        _parse_mode(self.mode)  # fail fast on unknown policies
+        parse_mode(self.mode)  # fail fast on unknown policies
 
     @property
     def n_uploads(self) -> int:
@@ -95,33 +155,12 @@ class FleetCell:
                                   inter_run_gap_s=0.0)
 
     def identity(self) -> Dict[str, object]:
-        ident: Dict[str, object] = {
-            "cell_type": FLEET_CELL_TYPE,
-            "version": FLEET_CELL_VERSION,
-            "sites": list(self.sites),
-            "provider": self.provider,
-            "mode": self.mode,
-            "n_uploads_per_site": int(self.n_uploads_per_site),
-            "mean_interarrival_s": float(self.mean_interarrival_s),
-            "mean_size_mb": float(self.mean_size_mb),
-            "size_dist": self.size_dist,
-            "seed": int(self.seed),
-            "cross_traffic": bool(self.cross_traffic),
-            "config": None if self.config is None else asdict(self.config),
-        }
-        if self.topo is not None:
-            # content-hash reference plus the spec itself: the hash names
-            # the world (and guards reconstruction); the spec dict makes
-            # the identity self-contained for ``from_identity``.  Cells
-            # without a topo keep their pre-topo keys.
-            ident["topo"] = {"hash": self.topo.content_hash(),
-                             "spec": self.topo.canonical_dict()}
-        return ident
+        return {"cell_type": FLEET_CELL_TYPE, "version": FLEET_CELL_VERSION,
+                "mode": self.mode, **workload_identity(self)}
 
     @property
     def key(self) -> str:
-        blob = json.dumps(self.identity(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:24]
+        return content_key(self.identity(), 24)
 
     @classmethod
     def from_identity(cls, ident: Dict[str, object]) -> "FleetCell":
@@ -132,32 +171,7 @@ class FleetCell:
             raise CampaignError(
                 f"fleet cell identity version {version!r} is not the "
                 f"supported {FLEET_CELL_VERSION}")
-        config = ident["config"]
-        if config is not None:
-            config = dict(config)
-            config["size_class_edges_mb"] = tuple(config["size_class_edges_mb"])
-            config = BrokerConfig(**config)
-        topo_ident = ident.get("topo")
-        topo = None
-        if topo_ident is not None:
-            topo = TopoSpec.from_dict(topo_ident["spec"])
-            if topo.content_hash() != topo_ident["hash"]:
-                raise CampaignError(
-                    f"fleet cell topo hash {topo_ident['hash']!r} does not "
-                    f"match its spec (got {topo.content_hash()!r})")
-        return cls(
-            sites=tuple(ident["sites"]),
-            provider=ident["provider"],
-            mode=ident["mode"],
-            n_uploads_per_site=int(ident["n_uploads_per_site"]),
-            mean_interarrival_s=float(ident["mean_interarrival_s"]),
-            mean_size_mb=float(ident["mean_size_mb"]),
-            size_dist=ident["size_dist"],
-            seed=int(ident["seed"]),
-            cross_traffic=bool(ident["cross_traffic"]),
-            config=config,
-            topo=topo,
-        )
+        return cls(mode=ident["mode"], **workload_fields(ident))
 
     def describe(self) -> str:
         return f"{self.label} seed={self.seed}"

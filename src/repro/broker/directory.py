@@ -31,11 +31,10 @@ freshest-wins by sim-time ``installed_s``, ties resolved by merge order
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.core.identity import content_key
 from repro.core.world import World
 from repro.errors import BrokerError
 from repro.units import mb
@@ -131,9 +130,7 @@ class DirectorySnapshot:
         return cls(tuple(DirectoryEntry(**e) for e in d["entries"]))
 
     def content_hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
+        return content_key(self.to_dict())
 
     @classmethod
     def merged(cls, snapshots: Sequence["DirectorySnapshot"]) -> "DirectorySnapshot":

@@ -34,7 +34,7 @@ from repro.broker.config import BrokerConfig
 from repro.broker.service import DetourBroker, Recommendation
 
 __all__ = ["FleetUploadRecord", "FleetResult", "FleetRunner", "run_fleet",
-           "FleetScore", "parse_mode", "score_fleet"]
+           "FleetScore", "fleet_world", "parse_mode", "score_fleet"]
 
 
 @dataclass(frozen=True)
@@ -127,10 +127,6 @@ def parse_mode(mode: str) -> Tuple[str, Optional[str]]:
         f"unknown fleet mode {mode!r}; have: 'broker', 'direct', 'static:<route>'")
 
 
-#: Backwards-compatible private alias (pre-shard callers).
-_parse_mode = parse_mode
-
-
 class FleetRunner:
     """Drive one upload schedule through one policy inside one world."""
 
@@ -138,7 +134,7 @@ class FleetRunner:
                  mode: str = "broker", broker: Optional[DetourBroker] = None):
         if not schedule.uploads:
             raise BrokerError("fleet schedule is empty")
-        self.kind, self.static_route = _parse_mode(mode)
+        self.kind, self.static_route = parse_mode(mode)
         if self.kind == "broker" and broker is None:
             raise BrokerError("broker mode needs a DetourBroker instance")
         if self.kind != "broker" and broker is not None:
@@ -247,6 +243,28 @@ class FleetRunner:
         )
 
 
+def fleet_world(seed: int, topo=None, cross_traffic: bool = True,
+                metrics=False, profile=False,
+                cache_dir: Optional[str] = None) -> World:
+    """The world a fleet runs in: *topo* compiled and materialized, or
+    (``topo=None``) the calibrated case study.
+
+    Routes of a generated world are served from *cache_dir* when given;
+    *cross_traffic* only applies to the case study.
+    """
+    if topo is not None:
+        from repro.topo.materialize import compile_spec, materialize
+
+        compiled = compile_spec(topo, cache_dir=cache_dir, routes=True)
+        return materialize(compiled, seed=seed, metrics=metrics,
+                           profile=profile)
+    from repro.testbed.build import build_case_study
+
+    return build_case_study(seed=seed, cross_traffic=cross_traffic,
+                            metrics=metrics, profile=profile,
+                            cache_dir=cache_dir)
+
+
 def run_fleet(
     seed: int,
     sites: Sequence[str],
@@ -280,18 +298,8 @@ def run_fleet(
     ``profile`` take a bool or a prebuilt registry/profiler, exactly as
     :func:`~repro.testbed.build.build_case_study` does.
     """
-    if topo is not None:
-        from repro.topo.materialize import compile_spec, materialize
-
-        compiled = compile_spec(topo, cache_dir=cache_dir, routes=True)
-        world = materialize(compiled, seed=seed, metrics=metrics,
-                            profile=profile)
-    else:
-        from repro.testbed.build import build_case_study
-
-        world = build_case_study(seed=seed, cross_traffic=cross_traffic,
-                                 metrics=metrics, profile=profile,
-                                 cache_dir=cache_dir)
+    world = fleet_world(seed, topo=topo, cross_traffic=cross_traffic,
+                        metrics=metrics, profile=profile, cache_dir=cache_dir)
     unknown = sorted(set(sites) - set(world.hosts))
     if unknown:
         raise BrokerError(
@@ -302,7 +310,7 @@ def run_fleet(
         mean_size_mb, seed=schedule_seed if schedule_seed is not None else seed,
         size_dist=size_dist)
     broker = None
-    if _parse_mode(mode)[0] == "broker":
+    if parse_mode(mode)[0] == "broker":
         broker = DetourBroker(world, pairs=[(c, provider) for c in sites],
                               config=config)
     return FleetRunner(world, schedule, mode=mode, broker=broker).run(horizon_s)

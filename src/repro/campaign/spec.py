@@ -20,12 +20,11 @@ Two contracts make campaigns trustworthy:
 
 from __future__ import annotations
 
-import hashlib
-import json
 import re
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
+from repro.core.identity import content_key
 from repro.core.routes import DetourRoute, DirectRoute, Route
 from repro.errors import CampaignError
 from repro.measure.harness import ExperimentProtocol, experiment_seed
@@ -121,8 +120,7 @@ class CampaignCell:
     @property
     def key(self) -> str:
         """Content-addressed store key: a stable hash of :meth:`identity`."""
-        blob = json.dumps(self.identity(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:24]
+        return content_key(self.identity(), 24)
 
     @classmethod
     def from_identity(cls, ident: Dict[str, object]) -> "CampaignCell":

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro.campaign.spec import CampaignCell
-from repro.core.atomic import atomic_write_json
+from repro.core.atomic import atomic_write_json, read_json_object
 from repro.errors import CampaignError
 from repro.measure.harness import Measurement
 from repro.measure.stats import summarize
@@ -180,16 +180,20 @@ class ResultStore:
     def path_for(self, cell: CampaignCell) -> Path:
         return self.root / f"{cell.key}.json"
 
+    @staticmethod
+    def _read(path: Path) -> Optional[CellRecord]:
+        try:
+            payload = read_json_object(path)
+            return None if payload is None else record_from_dict(payload)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CampaignError(f"corrupt store record {path}: {exc}") from exc
+
     def get(self, cell: CampaignCell) -> Optional[CellRecord]:
         """The stored record for *cell*, or None if not yet computed."""
         path = self.path_for(cell)
-        if not path.is_file():
+        rec = self._read(path)
+        if rec is None:
             return None
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-            rec = record_from_dict(payload)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise CampaignError(f"corrupt store record {path}: {exc}") from exc
         if rec.cell.identity() != cell.identity():
             raise CampaignError(
                 f"store record {path} does not match the requesting cell "
@@ -221,17 +225,8 @@ class ResultStore:
 
     def records(self) -> List[CellRecord]:
         """Every stored record, in deterministic cell-identity order."""
-        if not self.root.is_dir():
-            return []
-        out: List[CellRecord] = []
-        for path in sorted(self.root.glob("*.json")):
-            try:
-                out.append(record_from_dict(
-                    json.loads(path.read_text(encoding="utf-8"))))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise CampaignError(f"corrupt store record {path}: {exc}") from exc
-        out.sort(key=_record_order)
-        return out
+        records = (self._read(p) for p in sorted(self.root.glob("*.json")))
+        return sorted((r for r in records if r is not None), key=_record_order)
 
 
 def _record_order(rec: CellRecord):

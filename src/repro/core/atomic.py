@@ -1,4 +1,4 @@
-"""The sanctioned atomic-write protocol: temp file + ``os.replace``.
+"""The sanctioned atomic-write protocol, and the one verified reader.
 
 Every durable artifact in the tree — campaign store records, shared
 directory-tier documents, shard run files, compiled-route caches, the
@@ -22,6 +22,11 @@ rewrites simple ones to call in here.
   writers that need a real file on disk (``np.savez``, incremental
   serializers).  The replace happens on clean exit; on an exception the
   temp file is removed and nothing is published.
+* :func:`read_json_object` — the read side every JSON store shares:
+  ``None`` when there is no file, ``ValueError`` for bytes that are not
+  UTF-8 JSON or for a document that is not a JSON object.  Stores catch
+  the ``ValueError`` and map it to their own outcome for a corrupt
+  entry (raise a domain error, count a miss, drop the cache).
 
 Temp names are ``<final name>.<pid>.tmp`` (plus a caller suffix when the
 serializer is picky about extensions, e.g. ``.npz``), so concurrent
@@ -37,13 +42,14 @@ import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, Union
+from typing import Dict, Iterator, Optional, Union
 
 __all__ = [
     "atomic_write",
     "atomic_write_bytes",
     "atomic_write_json",
     "atomic_write_text",
+    "read_json_object",
 ]
 
 
@@ -106,3 +112,20 @@ def atomic_write_json(path: Union[str, Path], payload: object, *,
     if trailing_newline:
         blob += "\n"
     return atomic_write_text(path, blob, mkdir=mkdir)
+
+
+def read_json_object(path: Union[str, Path]) -> Optional[Dict[str, object]]:
+    """The JSON object stored at *path*, or None when there is no file.
+
+    Raises ``ValueError`` (``UnicodeDecodeError`` and
+    ``json.JSONDecodeError`` are subclasses) when the bytes are not
+    UTF-8 JSON, and when the document parses to anything but an object.
+    """
+    path = Path(path)
+    if not path.is_file():
+        return None
+    payload = json.loads(path.read_bytes().decode("utf-8"))
+    if not isinstance(payload, dict):
+        raise ValueError(
+            f"expected a JSON object, got {type(payload).__name__}")
+    return payload

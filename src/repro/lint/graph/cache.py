@@ -16,13 +16,12 @@ file transparently re-analyzed — reports are byte-identical either way.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro.core.atomic import atomic_write_text
+from repro.core.atomic import atomic_write_text, read_json_object
+from repro.core.identity import canonical_json, content_key
 from repro.lint.findings import Finding, Severity
 from repro.lint.graph.summary import SUMMARY_VERSION, FileSummary
 
@@ -71,8 +70,7 @@ def ruleset_fingerprint(config, rules, graph_rules) -> str:
             },
         },
     }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+    return content_key(payload, 16)
 
 
 @dataclass
@@ -136,30 +134,30 @@ class SummaryCache:
         self._load()
 
     def _load(self) -> None:
-        if not self.path.is_file():
-            return
         try:
-            data = json.loads(self.path.read_text(encoding="utf-8"))
+            data = read_json_object(self.path)
+            if data is None:
+                return
             if data.get("version") != CACHE_VERSION \
                     or data.get("fingerprint") != self.fingerprint:
                 raise ValueError("cache schema mismatch")
             files = data["files"]
             if not isinstance(files, dict):
                 raise ValueError("bad cache payload")
-        except (OSError, ValueError, KeyError, json.JSONDecodeError):
+        except (OSError, ValueError, KeyError):
             self.stats.corrupt = True
             return
         self._loaded_raw = files
 
     def lookup(self, rel: str, sha256: str) -> Optional[CacheEntry]:
         """The cached entry for *rel* iff its content hash still matches."""
-        raw = self._loaded_raw.get(rel)
-        if raw is None:
+        if rel not in self._loaded_raw:
             self.stats.misses += 1
             return None
+        raw = self._loaded_raw[rel]
         try:
-            if raw.get("sha256") != sha256:
-                raise ValueError("content changed")
+            if not isinstance(raw, dict) or raw.get("sha256") != sha256:
+                raise ValueError("content changed or entry is not an object")
             entry = CacheEntry.from_json(raw)
         except (ValueError, KeyError, TypeError):
             self.stats.invalidated += 1
@@ -179,5 +177,4 @@ class SummaryCache:
             "files": {rel: self._entries[rel].to_json()
                       for rel in sorted(self._entries)},
         }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        atomic_write_text(self.path, blob, mkdir=True)
+        atomic_write_text(self.path, canonical_json(payload), mkdir=True)

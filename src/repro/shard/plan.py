@@ -30,15 +30,15 @@ partition-independent names.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import asdict, dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.broker.campaign import workload_fields, workload_identity
 from repro.broker.config import BrokerConfig
 from repro.broker.directory import DirectorySnapshot
-from repro.broker.fleet import FleetResult, parse_mode
+from repro.broker.fleet import FleetResult, fleet_world, parse_mode
 from repro.campaign.store import register_cell_type
+from repro.core.identity import content_key
 from repro.errors import CampaignError, ShardError
 from repro.measure.harness import (ExperimentProtocol, Measurement,
                                    experiment_seed)
@@ -99,9 +99,7 @@ def _site_unit_identity(
 
 def site_report_name(**unit_kwargs) -> str:
     """Content name of one site unit's published report (``site-<hash>``)."""
-    ident = _site_unit_identity(**unit_kwargs)
-    blob = json.dumps(ident, sort_keys=True, separators=(",", ":"))
-    return "site-" + hashlib.sha256(blob.encode()).hexdigest()[:24]
+    return "site-" + content_key(_site_unit_identity(**unit_kwargs), 24)
 
 
 def _with_site_label(samples: Sequence[MetricSample],
@@ -181,32 +179,14 @@ class ShardCell:
                                   inter_run_gap_s=0.0)
 
     def identity(self) -> Dict[str, object]:
-        ident: Dict[str, object] = {
-            "cell_type": SHARD_CELL_TYPE,
-            "version": SHARD_CELL_VERSION,
-            "sites": list(self.sites),
-            "provider": self.provider,
-            "mode": self.mode,
-            "n_uploads_per_site": int(self.n_uploads_per_site),
-            "mean_interarrival_s": float(self.mean_interarrival_s),
-            "mean_size_mb": float(self.mean_size_mb),
-            "size_dist": self.size_dist,
-            "seed": int(self.seed),
-            "shard_index": int(self.shard_index),
-            "n_shards": int(self.n_shards),
-            "cross_traffic": bool(self.cross_traffic),
-            "config": None if self.config is None else asdict(self.config),
-            "warm_hash": self.warm_hash,
-        }
-        if self.topo is not None:
-            ident["topo"] = {"hash": self.topo.content_hash(),
-                             "spec": self.topo.canonical_dict()}
-        return ident
+        return {"cell_type": SHARD_CELL_TYPE, "version": SHARD_CELL_VERSION,
+                "mode": self.mode, "shard_index": int(self.shard_index),
+                "n_shards": int(self.n_shards), "warm_hash": self.warm_hash,
+                **workload_identity(self)}
 
     @property
     def key(self) -> str:
-        blob = json.dumps(self.identity(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:24]
+        return content_key(self.identity(), 24)
 
     @classmethod
     def from_identity(cls, ident: Dict[str, object]) -> "ShardCell":
@@ -217,35 +197,9 @@ class ShardCell:
             raise CampaignError(
                 f"shard cell identity version {version!r} is not the "
                 f"supported {SHARD_CELL_VERSION}")
-        config = ident["config"]
-        if config is not None:
-            config = dict(config)
-            config["size_class_edges_mb"] = tuple(config["size_class_edges_mb"])
-            config = BrokerConfig(**config)
-        topo_ident = ident.get("topo")
-        topo = None
-        if topo_ident is not None:
-            topo = TopoSpec.from_dict(topo_ident["spec"])
-            if topo.content_hash() != topo_ident["hash"]:
-                raise CampaignError(
-                    f"shard cell topo hash {topo_ident['hash']!r} does not "
-                    f"match its spec (got {topo.content_hash()!r})")
-        return cls(
-            sites=tuple(ident["sites"]),
-            provider=ident["provider"],
-            mode=ident["mode"],
-            n_uploads_per_site=int(ident["n_uploads_per_site"]),
-            mean_interarrival_s=float(ident["mean_interarrival_s"]),
-            mean_size_mb=float(ident["mean_size_mb"]),
-            size_dist=ident["size_dist"],
-            seed=int(ident["seed"]),
-            shard_index=int(ident["shard_index"]),
-            n_shards=int(ident["n_shards"]),
-            cross_traffic=bool(ident["cross_traffic"]),
-            config=config,
-            topo=topo,
-            warm_hash=ident["warm_hash"],
-        )
+        return cls(mode=ident["mode"], shard_index=int(ident["shard_index"]),
+                   n_shards=int(ident["n_shards"]),
+                   warm_hash=ident["warm_hash"], **workload_fields(ident))
 
     def describe(self) -> str:
         return f"{self.label} seed={self.seed}"
@@ -273,20 +227,6 @@ class ShardCell:
             seed=self.seed, cross_traffic=self.cross_traffic,
             config=self.config, topo=self.topo, warm_hash=self.warm_hash)
 
-    def _build_world(self, site: str, metrics: MetricsRegistry):
-        if self.topo is not None:
-            from repro.topo.materialize import compile_spec, materialize
-
-            compiled = compile_spec(self.topo, cache_dir=self.cache_dir,
-                                    routes=True)
-            return materialize(compiled, seed=self.site_world_seed(site),
-                               metrics=metrics)
-        from repro.testbed.build import build_case_study
-
-        return build_case_study(seed=self.site_world_seed(site),
-                                cross_traffic=self.cross_traffic,
-                                metrics=metrics, cache_dir=self.cache_dir)
-
     def _run_site(self, site: str):
         """One single-site fleet unit: ``(result, report)``."""
         from repro.broker.service import DetourBroker
@@ -300,7 +240,9 @@ class ShardCell:
                 f"snapshot {self.warm_hash} but carries no snapshot object; "
                 f"re-expand the plan with ShardPlan.expand(warm=...)")
         site_metrics = MetricsRegistry()
-        world = self._build_world(site, site_metrics)
+        world = fleet_world(self.site_world_seed(site), topo=self.topo,
+                            cross_traffic=self.cross_traffic,
+                            metrics=site_metrics, cache_dir=self.cache_dir)
         if site not in world.hosts:
             raise ShardError(
                 f"shard site {site!r} not in the world's host map "
@@ -418,59 +360,21 @@ class ShardPlan:
 
     def canonical_dict(self) -> Dict[str, object]:
         """JSON-able plan identity (round-trips via :meth:`from_dict`)."""
-        d: Dict[str, object] = {
-            "sites": list(self.sites),
-            "provider": self.provider,
-            "modes": list(self.modes),
-            "n_shards": int(self.n_shards),
-            "n_uploads_per_site": int(self.n_uploads_per_site),
-            "mean_interarrival_s": float(self.mean_interarrival_s),
-            "mean_size_mb": float(self.mean_size_mb),
-            "size_dist": self.size_dist,
-            "seed": int(self.seed),
-            "cross_traffic": bool(self.cross_traffic),
-            "config": None if self.config is None else asdict(self.config),
-        }
-        if self.topo is not None:
-            d["topo"] = {"hash": self.topo.content_hash(),
-                         "spec": self.topo.canonical_dict()}
-        return d
+        return {"modes": list(self.modes), "n_shards": int(self.n_shards),
+                **workload_identity(self)}
 
     @classmethod
     def from_dict(cls, d: Dict[str, object]) -> "ShardPlan":
-        config = d["config"]
-        if config is not None:
-            config = dict(config)
-            config["size_class_edges_mb"] = tuple(config["size_class_edges_mb"])
-            config = BrokerConfig(**config)
-        topo_ident = d.get("topo")
-        topo = None
-        if topo_ident is not None:
-            topo = TopoSpec.from_dict(topo_ident["spec"])
-            if topo.content_hash() != topo_ident["hash"]:
-                raise ShardError(
-                    f"shard plan topo hash {topo_ident['hash']!r} does not "
-                    f"match its spec (got {topo.content_hash()!r})")
-        return cls(
-            sites=tuple(d["sites"]),
-            provider=d["provider"],
-            modes=tuple(d["modes"]),
-            n_shards=int(d["n_shards"]),
-            n_uploads_per_site=int(d["n_uploads_per_site"]),
-            mean_interarrival_s=float(d["mean_interarrival_s"]),
-            mean_size_mb=float(d["mean_size_mb"]),
-            size_dist=d["size_dist"],
-            seed=int(d["seed"]),
-            cross_traffic=bool(d["cross_traffic"]),
-            config=config,
-            topo=topo,
-        )
+        try:
+            fields = workload_fields(d)
+        except CampaignError as exc:
+            raise ShardError(f"shard plan: {exc}") from exc
+        return cls(modes=tuple(d["modes"]), n_shards=int(d["n_shards"]),
+                   **fields)
 
     @property
     def plan_key(self) -> str:
-        blob = json.dumps(self.canonical_dict(), sort_keys=True,
-                          separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:24]
+        return content_key(self.canonical_dict(), 24)
 
     @property
     def merged_snapshot_name(self) -> str:

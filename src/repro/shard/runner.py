@@ -30,7 +30,6 @@ of the plan, whatever the shard or job count was.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -40,7 +39,7 @@ from repro.broker.fleet import FleetScore
 from repro.campaign.pool import PoolConfig
 from repro.campaign.runner import CampaignRunner, campaign_status
 from repro.campaign.store import ResultStore
-from repro.core.atomic import atomic_write_json
+from repro.core.atomic import atomic_write_json, read_json_object
 from repro.errors import ShardError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import TelemetryEvent, as_sink
@@ -133,14 +132,14 @@ def write_run_file(root: Union[str, Path], plan: ShardPlan,
 def read_run_file(root: Union[str, Path]) -> Dict[str, object]:
     """The run root's provenance document (plan dict + warm lineage)."""
     path = Path(root) / RUN_FILE
-    if not path.is_file():
+    try:
+        payload = read_json_object(path)
+    except ValueError as exc:
+        raise ShardError(f"corrupt shard run file {path}: {exc}") from exc
+    if payload is None:
         raise ShardError(
             f"no shard run at {Path(root)} (missing {RUN_FILE}; "
             f"start one with run_sharded / `repro shard run`)")
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ShardError(f"corrupt shard run file {path}: {exc}") from exc
     if payload.get("version") != RUN_FILE_VERSION:
         raise ShardError(
             f"unsupported shard run file version {payload.get('version')!r}")

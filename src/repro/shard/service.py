@@ -29,7 +29,6 @@ time — the service is as deterministic as the workers it serves.
 
 from __future__ import annotations
 
-import json
 import re
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -37,7 +36,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro.broker.directory import DirectorySnapshot
-from repro.core.atomic import atomic_write_json
+from repro.core.atomic import atomic_write_json, read_json_object
 from repro.errors import ShardError
 from repro.obs.metrics import MetricsRegistry
 
@@ -102,11 +101,9 @@ class DirectoryFileTier:
     def fetch(self, name: str) -> Optional[Dict[str, object]]:
         """The payload published under *name*, or None."""
         path = self.path_for(name)
-        if not path.is_file():
-            return None
         try:
-            return json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+            return read_json_object(path)
+        except ValueError as exc:
             raise ShardError(f"corrupt published artifact {path}: {exc}") from exc
 
     def names(self) -> List[str]:

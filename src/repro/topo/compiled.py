@@ -23,6 +23,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.identity import canonical_json
 from repro.errors import TopoError
 from repro.topo.spec import (
     AsRec,
@@ -32,7 +33,6 @@ from repro.topo.spec import (
     ProviderRec,
     SiteRec,
     TopoGraph,
-    canonical_json,
 )
 
 __all__ = ["CompiledTopology", "compile_graph"]

@@ -24,13 +24,12 @@ can't leave a half-written entry that later loads garbage.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.atomic import atomic_write, atomic_write_json
+from repro.core.atomic import atomic_write, atomic_write_json, read_json_object
 from repro.errors import TopoError
 from repro.topo.instrument import TopoInstrumentation
 
@@ -87,8 +86,9 @@ class RouteCache:
             self.obs.cache_misses.inc()
             return None
         try:
-            with open(sidecar, "r") as fh:
-                expect = json.load(fh)
+            expect = read_json_object(sidecar)
+            if expect is None:
+                raise ValueError("sidecar missing")
             if expect.get("version") != ROUTE_CACHE_VERSION:
                 raise ValueError(f"cache version {expect.get('version')}")
             if expect.get("key") != key:
@@ -98,7 +98,7 @@ class RouteCache:
             with np.load(payload, allow_pickle=False) as data:
                 indptr = np.asarray(data["route_indptr"], dtype=np.int64)
                 flat = np.asarray(data["route_node"], dtype=np.int64)
-        except (OSError, ValueError, KeyError, json.JSONDecodeError):
+        except (OSError, ValueError, KeyError):
             self.corrupt += 1
             self.obs.cache_corrupt.inc()
             return None

@@ -16,11 +16,11 @@ follow adjacency insertion order, see ``docs/invariants.md``).
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import asdict, dataclass, replace
 from typing import Dict, Optional, Tuple
 
+from repro.core.identity import content_key
 from repro.errors import TopoError
 from repro.units import gbps, mbps, ms
 
@@ -37,16 +37,10 @@ __all__ = [
     "TopoSpec",
     "PRESETS",
     "preset_spec",
-    "canonical_json",
 ]
 
 #: Format version of the spec JSON; bump on incompatible record changes.
 SPEC_VERSION = 1
-
-
-def canonical_json(payload: dict) -> str:
-    """The one true JSON encoding (sorted keys, no whitespace)."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +400,7 @@ class TopoSpec:
 
     def content_hash(self) -> str:
         """sha256 hex digest of the canonical JSON encoding."""
-        payload = canonical_json(self.canonical_dict())
-        return hashlib.sha256(payload.encode()).hexdigest()
+        return content_key(self.canonical_dict())
 
     @property
     def tag(self) -> str:

@@ -5,7 +5,9 @@ records, directory-tier documents, shard run files, route caches, the
 lint cache), so its contract is pinned in isolation: round-trips,
 ``mkdir``/``suffix`` knobs, temp-file hygiene, and — the point of the
 module — that an exception mid-write leaves the destination untouched
-and no temp file behind.
+and no temp file behind.  The read side is pinned too: every JSON store
+reads through ``read_json_object``, and a file that is not a JSON object
+maps to that store's own corrupt-file outcome.
 """
 
 import json
@@ -15,7 +17,8 @@ from pathlib import Path
 import pytest
 
 from repro.core.atomic import (atomic_write, atomic_write_bytes,
-                               atomic_write_json, atomic_write_text)
+                               atomic_write_json, atomic_write_text,
+                               read_json_object)
 
 pytestmark = pytest.mark.core
 
@@ -97,3 +100,93 @@ def test_exception_before_temp_exists_is_clean(tmp_path):
             raise ValueError("serializer refused")
     assert not target.exists()
     assert _no_tmp_files(tmp_path)
+
+
+# -- the verified reader -------------------------------------------------------
+
+#: Files that are not a JSON object: valid JSON of the wrong shape, and
+#: bytes that are not UTF-8 at all.
+NOT_AN_OBJECT = [b"[]", b"null", b'"x"', b"\xff\xfe"]
+
+
+def test_read_json_object_round_trip_and_missing_file(tmp_path):
+    target = tmp_path / "doc.json"
+    assert read_json_object(target) is None
+    atomic_write_json(target, {"k": [1, "é"]})
+    assert read_json_object(target) == {"k": [1, "é"]}
+
+
+@pytest.mark.parametrize("blob", NOT_AN_OBJECT + [b"{", b""])
+def test_read_json_object_rejects_with_value_error(tmp_path, blob):
+    target = tmp_path / "doc.json"
+    target.write_bytes(blob)
+    with pytest.raises(ValueError):
+        read_json_object(target)
+
+
+@pytest.mark.parametrize("blob", NOT_AN_OBJECT)
+def test_every_store_maps_a_non_object_file_to_its_outcome(tmp_path, blob):
+    """Each JSON store reads through ``read_json_object`` and keeps its
+    own documented outcome for a corrupt file — never a raw
+    ``AttributeError`` or ``UnicodeDecodeError``."""
+    import numpy as np
+
+    from repro.campaign.spec import CampaignCell
+    from repro.campaign.store import ResultStore
+    from repro.errors import CampaignError, ShardError
+    from repro.lint.graph.cache import SummaryCache
+    from repro.shard.runner import RUN_FILE, read_run_file
+    from repro.shard.service import DirectoryFileTier, SharedDirectoryService
+    from repro.topo.routecache import RouteCache
+
+    # campaign result store: raises CampaignError, from get and records
+    cell = CampaignCell("ubc", "gdrive", "direct", 10.0)
+    store = ResultStore(tmp_path / "cells")
+    atomic_write_bytes(store.path_for(cell), blob, mkdir=True)
+    with pytest.raises(CampaignError, match="corrupt"):
+        store.get(cell)
+    with pytest.raises(CampaignError, match="corrupt"):
+        store.records()
+
+    # shared-directory file tier (and the service over it): ShardError
+    tier = DirectoryFileTier(tmp_path / "directory")
+    atomic_write_bytes(tier.path_for("snap"), blob, mkdir=True)
+    with pytest.raises(ShardError, match="corrupt"):
+        tier.fetch("snap")
+    with pytest.raises(ShardError, match="corrupt"):
+        SharedDirectoryService(tmp_path / "directory").fetch_snapshot("snap")
+
+    # shard run file: ShardError
+    atomic_write_bytes(tmp_path / "run" / RUN_FILE, blob, mkdir=True)
+    with pytest.raises(ShardError, match="corrupt"):
+        read_run_file(tmp_path / "run")
+
+    # route cache: a corrupt sidecar is a counted miss, never an error
+    cache = RouteCache(str(tmp_path / "routes"))
+    key = "ab" * 8
+    cache.store(key, np.array([0, 2], dtype=np.int64),
+                np.array([4, 5], dtype=np.int64))
+    atomic_write_bytes(cache.sidecar_path(key), blob)
+    assert cache.load(key) is None
+    assert (cache.hits, cache.misses, cache.corrupt) == (0, 0, 1)
+
+    # lint cache: the whole cache document is dropped
+    atomic_write_bytes(tmp_path / "lint" / "lint-cache-f00d.json", blob,
+                       mkdir=True)
+    lint_cache = SummaryCache(tmp_path / "lint", "f00d")
+    assert lint_cache.stats.corrupt
+    assert lint_cache.lookup("a.py", "0" * 64) is None
+
+
+@pytest.mark.parametrize("entry", [[], None, "x", 3])
+def test_lint_cache_entry_that_is_not_an_object_is_invalidated(tmp_path,
+                                                                entry):
+    from repro.lint.graph.cache import CACHE_VERSION, SummaryCache
+
+    atomic_write_json(tmp_path / "lint-cache-f00d.json", {
+        "version": CACHE_VERSION, "fingerprint": "f00d",
+        "files": {"a.py": entry}})
+    lint_cache = SummaryCache(tmp_path, "f00d")
+    assert not lint_cache.stats.corrupt
+    assert lint_cache.lookup("a.py", "0" * 64) is None
+    assert (lint_cache.stats.invalidated, lint_cache.stats.misses) == (1, 1)
