@@ -17,11 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.errors import RoutingError, TopologyError
+from repro.errors import RoutingError
 from repro.net.asn import ASGraph
 from repro.net.bgp import BgpRouteComputer
 from repro.net.policy import PolicyTable
-from repro.net.topology import Link, LinkDirection, Node, Topology
+from repro.net.topology import IntraAsTree, Link, LinkDirection, Node, Topology
 
 __all__ = ["ResolvedPath", "Router"]
 
@@ -73,7 +73,9 @@ class Router:
         #: store-and-forward / switching latency added per hop to RTT
         self.per_hop_latency_s = per_hop_latency_s
         self._path_cache: Dict[Tuple[str, str], ResolvedPath] = {}
-        self._igp_cost_cache: Dict[Tuple[str, str], float] = {}
+        #: intra-AS shortest-path tree per source node, for the current
+        #: link state (every IGP query from one node shares its tree)
+        self._trees: Dict[str, IntraAsTree] = {}
 
     # -- public API ---------------------------------------------------------
 
@@ -90,7 +92,7 @@ class Router:
     def invalidate(self) -> None:
         """Drop caches after topology or policy changes."""
         self._path_cache.clear()
-        self._igp_cost_cache.clear()
+        self._trees.clear()
         self.bgp.invalidate()
 
     def preload(self, node_paths: Iterable[Sequence[str]]) -> int:
@@ -148,7 +150,13 @@ class Router:
             raise RoutingError(f"path needs at least two hops, got {nodes!r}")
         src, dst = nodes[0], nodes[-1]
         links = topo.path_links(nodes)
-        one_way = topo.path_delay_s(nodes) + self.per_hop_latency_s * (len(nodes) - 1)
+        # the same sums, in the same order, as Topology.path_delay_s and
+        # Topology.path_loss, over the one list of links
+        delay = sum(link.delay_s for link in links)
+        keep = 1.0
+        for link in links:
+            keep *= 1.0 - link.loss
+        one_way = delay + self.per_hop_latency_s * (len(nodes) - 1)
         bottleneck = min(
             link.effective_capacity_bps(u) for u, link in zip(nodes, links)
         )
@@ -169,7 +177,7 @@ class Router:
             dst=dst,
             nodes=tuple(nodes),
             rtt_s=2.0 * one_way,
-            loss=topo.path_loss(nodes),
+            loss=1.0 - keep,
             bottleneck_bps=bottleneck,
             as_sequence=tuple(as_seq),
             per_flow_cap_bps=fw_cap,
@@ -192,7 +200,7 @@ class Router:
 
         # 2. destination AS: plain IGP
         if cur.asn == dst.asn:
-            path = topo.intra_as_path(cur.name, dst.name)
+            path = topo.intra_as_path(cur.name, dst.name, self._tree(cur.name))
             if len(path) < 2:
                 raise RoutingError(f"no next hop from {cur.name} to {dst.name}")
             return path[1]
@@ -222,20 +230,17 @@ class Router:
         _, border, link = best
         if border == cur.name:
             return link.other(cur.name)
-        return topo.intra_as_path(cur.name, border)[1]
+        return topo.intra_as_path(cur.name, border, self._tree(cur.name))[1]
+
+    def _tree(self, src: str) -> IntraAsTree:
+        """The cached intra-AS shortest-path tree rooted at *src*."""
+        tree = self._trees.get(src)
+        if tree is None:
+            tree = self._trees[src] = self.topology.intra_as_tree(src)
+        return tree
 
     def _igp_cost(self, a: str, b: str) -> Optional[float]:
         """Total IGP cost a->b within one AS, or None if unreachable."""
-        if a == b:
-            return 0.0
-        key = (a, b)
-        if key in self._igp_cost_cache:
-            return self._igp_cost_cache[key]
-        try:
-            path = self.topology.intra_as_path(a, b)
-        except TopologyError:
-            self._igp_cost_cache[key] = None  # type: ignore[assignment]
-            return None
-        cost = sum(link.igp_cost for link in self.topology.path_links(path))
-        self._igp_cost_cache[key] = cost
-        return cost
+        # the tree sums link costs along the path, root first (0.0 at a)
+        reached = self._tree(a)[0].get(b)
+        return None if reached is None else reached[0]

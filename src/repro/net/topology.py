@@ -13,15 +13,16 @@ from __future__ import annotations
 
 import difflib
 import heapq
+import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.errors import TopologyError
 from repro.geo.sites import SITES
 from repro.net.address import parse_address
 
-__all__ = ["NodeKind", "Node", "Link", "LinkDirection", "Topology"]
+__all__ = ["NodeKind", "Node", "Link", "LinkDirection", "Topology", "IntraAsTree"]
 
 
 class NodeKind(Enum):
@@ -125,6 +126,12 @@ class Link:
             raise TopologyError(f"link {self.u}--{self.v}: capacity must be positive")
         if self.delay_s < 0:
             raise TopologyError(f"link {self.u}--{self.v}: delay must be non-negative")
+        # IGP shortest paths (Dijkstra) are only exact for finite,
+        # non-negative costs
+        if not (0.0 <= self.igp_cost < math.inf):
+            raise TopologyError(
+                f"link {self.u}--{self.v}: IGP cost must be finite and non-negative"
+            )
         if not (0.0 <= self.loss < 1.0):
             raise TopologyError(f"link {self.u}--{self.v}: loss must be in [0,1)")
         if not self.name:
@@ -162,6 +169,12 @@ class Link:
         return cap
 
 
+#: ``(dist, prev)`` of a shortest-path tree: ``dist[n]`` is the
+#: ``(igp_cost, delay_s)`` total from the root, ``prev[n]`` the hop
+#: before ``n`` (the root has a ``dist`` entry and no ``prev`` entry)
+IntraAsTree = Tuple[Dict[str, Tuple[float, float]], Dict[str, str]]
+
+
 class Topology:
     """Graph of nodes and links with lookup indexes."""
 
@@ -170,6 +183,9 @@ class Topology:
         self.links: Dict[str, Link] = {}
         self._adj: Dict[str, Dict[str, Link]] = {}
         self._by_address: Dict[str, Node] = {}
+        # links by the (unordered) pair of ASes they join, in insertion
+        # order: hot-potato egress takes the first of equal candidates
+        self._by_as_pair: Dict[FrozenSet[int], List[Link]] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -207,6 +223,8 @@ class Topology:
         self.links[link.name] = link
         self._adj[link.u][link.v] = link
         self._adj[link.v][link.u] = link
+        pair = frozenset((self.nodes[link.u].asn, self.nodes[link.v].asn))
+        self._by_as_pair.setdefault(pair, []).append(link)
         return link
 
     # -- lookups --------------------------------------------------------------
@@ -246,22 +264,49 @@ class Topology:
         return [n for n in self.nodes.values() if n.asn == asn]
 
     def inter_as_links(self, asn_a: int, asn_b: int) -> List[Link]:
-        """Operational links whose endpoints straddle the two given ASes."""
-        out = []
-        for link in self.links.values():
-            if link.failed:
-                continue
-            asns = {self.nodes[link.u].asn, self.nodes[link.v].asn}
-            if asns == {asn_a, asn_b}:
-                out.append(link)
-        return out
+        """Operational links whose endpoints straddle the two given ASes.
+
+        In the order the links were added (failure state is read live,
+        so failing or restoring a link needs no index upkeep).
+        """
+        pair = self._by_as_pair.get(frozenset((asn_a, asn_b)), ())
+        return [link for link in pair if not link.failed]
 
     # -- path computation --------------------------------------------------
 
-    def intra_as_path(self, src: str, dst: str) -> List[str]:
+    def intra_as_tree(self, src: str) -> IntraAsTree:
+        """Shortest-path tree from *src* to every node of its AS.
+
+        Dijkstra over operational links that stay inside the AS, by IGP
+        cost with one-way delay breaking ties (then node name, through
+        the heap).  A node missing from ``dist`` is unreachable.
+        """
+        asn = self.node(src).asn
+        dist: Dict[str, Tuple[float, float]] = {src: (0.0, 0.0)}
+        prev: Dict[str, str] = {}
+        heap: List[Tuple[float, float, str]] = [(0.0, 0.0, src)]
+        while heap:
+            cost, delay, cur = heapq.heappop(heap)
+            if (cost, delay) > dist[cur]:
+                continue
+            for nbr, link in self._adj[cur].items():
+                if self.nodes[nbr].asn != asn or link.failed:
+                    continue
+                cand = (cost + link.igp_cost, delay + link.delay_s)
+                if cand < dist.get(nbr, (math.inf, math.inf)):
+                    dist[nbr] = cand
+                    prev[nbr] = cur
+                    heapq.heappush(heap, (cand[0], cand[1], nbr))
+        return dist, prev
+
+    def intra_as_path(
+        self, src: str, dst: str, tree: Optional[IntraAsTree] = None
+    ) -> List[str]:
         """Shortest path (by IGP cost, tie-break delay) within one AS.
 
-        Raises :class:`TopologyError` if endpoints differ in AS or no path
+        Walks :meth:`intra_as_tree` of *src*, or *tree* when the caller
+        already holds that tree for the current link state.  Raises
+        :class:`TopologyError` if endpoints differ in AS or no path
         exists inside the AS.
         """
         s, d = self.node(src), self.node(dst)
@@ -271,26 +316,9 @@ class Topology:
             )
         if src == dst:
             return [src]
-        asn = s.asn
-        dist: Dict[str, Tuple[float, float]] = {src: (0.0, 0.0)}
-        prev: Dict[str, str] = {}
-        heap: List[Tuple[float, float, str]] = [(0.0, 0.0, src)]
-        while heap:
-            cost, delay, cur = heapq.heappop(heap)
-            if cur == dst:
-                break
-            if (cost, delay) > dist.get(cur, (float("inf"), float("inf"))):
-                continue
-            for nbr, link in self._adj[cur].items():
-                if self.nodes[nbr].asn != asn or link.failed:
-                    continue
-                cand = (cost + link.igp_cost, delay + link.delay_s)
-                if cand < dist.get(nbr, (float("inf"), float("inf"))):
-                    dist[nbr] = cand
-                    prev[nbr] = cur
-                    heapq.heappush(heap, (cand[0], cand[1], nbr))
+        dist, prev = tree if tree is not None else self.intra_as_tree(src)
         if dst not in dist:
-            raise TopologyError(f"no intra-AS path {src} -> {dst} inside AS{asn}")
+            raise TopologyError(f"no intra-AS path {src} -> {dst} inside AS{s.asn}")
         path = [dst]
         while path[-1] != src:
             path.append(prev[path[-1]])

@@ -2,9 +2,24 @@
 
 import pytest
 
+from repro.core.world import World
 from repro.errors import RoutingError
-from repro.net import PbrRule, PolicyTable, Router
-from repro.units import mbps
+from repro.net import (
+    ASGraph,
+    AutonomousSystem,
+    DnsResolver,
+    Link,
+    NetworkEngine,
+    Node,
+    NodeKind,
+    PbrRule,
+    PolicyTable,
+    Router,
+    TcpModel,
+    Topology,
+)
+from repro.sim import RngRegistry, Simulator, Tracer
+from repro.units import mbps, ms
 
 
 class TestResolution:
@@ -151,3 +166,67 @@ class TestRoutingFailures:
         router2 = Router(topo, asg, PolicyTable())
         path = router2.resolve("hostB", "server")
         assert path.nodes == ("hostB", "gwB", "r2", "cloud-edge", "server")
+
+
+def _egress_world() -> World:
+    r"""Border gwA[100] has two equal-cost links into AS200, added in
+    the order gwA--bz, gwA--ba (the reverse of name order)::
+
+        hostA[100] -- gwA[100] --+-- bz[200] -- hostB[200]
+                                 |    \         /
+                                 |     m[200] -+
+                                 +-- ba[200] --+
+    """
+    topo = Topology()
+    for name, kind, asn, addr in [
+        ("hostA", NodeKind.HOST, 100, "10.1.0.10"),
+        ("gwA", NodeKind.ROUTER, 100, "10.1.0.1"),
+        ("bz", NodeKind.ROUTER, 200, "10.2.0.1"),
+        ("ba", NodeKind.ROUTER, 200, "10.2.0.2"),
+        ("m", NodeKind.ROUTER, 200, "10.2.0.3"),
+        ("hostB", NodeKind.HOST, 200, "10.2.0.10"),
+    ]:
+        topo.add_node(Node(name, kind, asn, addr))
+    for u, v in [("hostA", "gwA"), ("gwA", "bz"), ("gwA", "ba"),
+                 ("bz", "hostB"), ("ba", "hostB"), ("bz", "m"), ("m", "hostB")]:
+        topo.add_link(Link(u, v, capacity_bps=mbps(100), delay_s=ms(1)))
+    asg = ASGraph()
+    asg.add_as(AutonomousSystem(100, "campus"))
+    asg.add_as(AutonomousSystem(200, "isp"))
+    asg.add_customer(200, 100)
+    sim, tracer = Simulator(), Tracer(enabled=False)
+    router = Router(topo, asg)
+    return World(sim=sim, topology=topo, as_graph=asg, policy=router.policy,
+                 router=router, dns=DnsResolver(topo),
+                 engine=NetworkEngine(sim, topo, tracer=tracer), tcp=TcpModel(),
+                 rng=RngRegistry(0), tracer=tracer)
+
+
+class TestHotPotatoOrderAndInvalidation:
+    def test_first_added_of_equal_egress_links_carries_the_path(self):
+        world = _egress_world()
+        assert [l.name for l in world.topology.inter_as_links(100, 200)] == [
+            "gwA--bz", "gwA--ba"]
+        assert world.router.resolve("hostA", "hostB").nodes == (
+            "hostA", "gwA", "bz", "hostB")
+
+    def test_failing_and_restoring_the_first_link_moves_the_path(self):
+        world = _egress_world()
+        world.router.resolve("hostA", "hostB")
+        world.fail_link("gwA--bz")
+        assert world.topology.inter_as_links(200, 100) == [world.topology.link("gwA--ba")]
+        assert world.router.resolve("hostA", "hostB").nodes == (
+            "hostA", "gwA", "ba", "hostB")
+        world.restore_link("gwA--bz")
+        assert world.router.resolve("hostA", "hostB").nodes == (
+            "hostA", "gwA", "bz", "hostB")
+
+    def test_intra_as_failure_reroutes_through_a_fresh_tree(self):
+        world = _egress_world()
+        world.router.resolve("hostA", "hostB")  # caches bz's tree
+        world.fail_link("bz--hostB")
+        assert world.router.resolve("hostA", "hostB").nodes == (
+            "hostA", "gwA", "bz", "m", "hostB")
+        world.restore_link("bz--hostB")
+        assert world.router.resolve("hostA", "hostB").nodes == (
+            "hostA", "gwA", "bz", "hostB")

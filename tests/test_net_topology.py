@@ -91,6 +91,14 @@ class TestNodesAndLinks:
         with pytest.raises(TopologyError):
             Link("a", "b", capacity_bps=1e6, delay_s=0, loss=1.0)
 
+    @pytest.mark.parametrize("cost", [-1.0, -1e-300, float("inf"), float("nan")])
+    def test_link_rejects_negative_or_non_finite_igp_cost(self, cost):
+        with pytest.raises(TopologyError, match="IGP cost"):
+            Link("a", "b", capacity_bps=1e6, delay_s=0, igp_cost=cost)
+
+    def test_link_accepts_zero_igp_cost(self):
+        assert Link("a", "b", capacity_bps=1e6, delay_s=0, igp_cost=0.0).igp_cost == 0.0
+
     def test_link_unknown_node_rejected(self):
         topo = Topology()
         topo.add_node(_node("a", addr="10.0.0.1"))
@@ -156,6 +164,16 @@ class TestLookupsAndPaths:
         # shortcut a0--a2 but with high IGP cost: path should stay on chain
         topo.add_link(Link("a0", "a2", capacity_bps=mbps(100), delay_s=ms(1), igp_cost=10))
         assert topo.intra_as_path("a0", "a2") == ["a0", "a1", "a2"]
+
+    def test_intra_as_tree_sums_costs_and_delays_from_the_root(self):
+        topo = chain_topology(3)
+        topo.add_link(Link("a0", "a2", capacity_bps=mbps(100), delay_s=ms(1), igp_cost=10))
+        topo.add_node(Node("b0", NodeKind.ROUTER, 2, "10.0.1.1"))
+        topo.add_link(Link("a2", "b0", capacity_bps=mbps(10), delay_s=ms(1)))
+        dist, prev = topo.intra_as_tree("a0")
+        assert dist == {"a0": (0.0, 0.0), "a1": (1.0, ms(1)), "a2": (2.0, ms(1) + ms(1))}
+        assert prev == {"a1": "a0", "a2": "a1"}
+        assert topo.intra_as_path("a0", "a2", (dist, prev)) == ["a0", "a1", "a2"]
 
     def test_intra_as_path_rejects_cross_as(self):
         topo = chain_topology(2)
