@@ -55,6 +55,17 @@ class TestScheduling:
         sim.run()
         assert seen == []
 
+    def test_handle_inactive_once_fired(self):
+        sim = Simulator()
+        seen = []
+        h = sim.schedule(1.0, lambda: seen.append(h.active))
+        assert h.active
+        sim.run()
+        assert seen == [False]  # already spent while its callback runs
+        assert not h.active
+        h.cancel()  # cancelling a spent handle is a no-op
+        assert not h.active
+
     def test_run_until_stops_clock_at_horizon(self):
         sim = Simulator()
         seen = []
