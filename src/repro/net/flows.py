@@ -66,9 +66,13 @@ def max_min_allocation(
     Each resource is hashed once per call and interned to a dense index;
     the filling loop then runs on lists, keeping for every resource the
     number of unfrozen flows crossing it and decrementing it as flows
-    freeze.  The float operations — and their order — are those of plain
-    progressive filling, so the rates are bit-identical to recomputing
-    every count on every pass.
+    freeze.  Every unfrozen flow has taken the same increments from
+    ``0.0``, so one shared ``level`` stands for all their rates, and the
+    smallest unfrozen ceiling is read from a list presorted by ceiling.
+    Float rounding is monotone (``a <= b`` implies ``fl(a - x) <=
+    fl(b - x)``), so the increment, the freeze tests and the corner
+    tie-break see exactly the values plain progressive filling computes
+    per flow: the rates are bit-identical to it.
     """
     flow_list = list(flows)
     ids = [f.flow_id for f in flow_list]
@@ -97,52 +101,69 @@ def max_min_allocation(
             users[i].append(j)
             path.append(i)
 
+    n = len(flow_list)
     active = [len(u) for u in users]   # unfrozen flows per resource
     live = list(range(len(headroom)))  # resources with an unfrozen flow
     ceilings = [f.ceiling_bps for f in flow_list]
-    alloc = [0.0] * len(flow_list)
-    unfrozen = list(range(len(flow_list)))
+    by_ceiling = sorted(range(n), key=ceilings.__getitem__)
+    low = 0  # by_ceiling[:low] are all frozen
+    frozen = [False] * n
+    unfrozen = n
+    level = 0.0  # the rate of every unfrozen flow
+    alloc = [0.0] * n
 
     # Each iteration freezes at least one flow, so it terminates.
     while unfrozen:
-        # Largest uniform increment all unfrozen flows can take.
+        while frozen[by_ceiling[low]]:
+            low += 1
+        # Largest uniform increment all unfrozen flows can take.  ``delta``
+        # stays the ``inf`` object itself unless some share is smaller.
         delta = inf
         for i in live:
             share = headroom[i] / active[i]
             if share < delta:
                 delta = share
-        for j in unfrozen:
-            share = ceilings[j] - alloc[j]
-            if share < delta:
-                delta = share
+        share = ceilings[by_ceiling[low]] - level
+        if share < delta:
+            delta = share
         if delta is inf:
             raise ValueError("unbounded allocation: flow with no resources and no ceiling")
         delta = max(delta, 0.0)
+        level += delta
 
-        for j in unfrozen:
-            alloc[j] += delta
+        # Freeze flows on saturated resources, then ceiling-bound flows
+        # (a prefix of the unfrozen ones in ceiling order).
+        to_freeze = []
         for i in live:
-            headroom[i] -= delta * active[i]
-
-        # Freeze ceiling-bound flows and flows on saturated resources.
-        hit = {j for i in live if headroom[i] <= epsilon for j in users[i]}
-        to_freeze = [
-            j for j in unfrozen
-            if alloc[j] >= ceilings[j] - epsilon or j in hit
-        ]
+            room = headroom[i] = headroom[i] - delta * active[i]
+            if room <= epsilon:
+                for j in users[i]:
+                    if not frozen[j]:
+                        frozen[j] = True
+                        to_freeze.append(j)
+        while low < n:
+            j = by_ceiling[low]
+            if not frozen[j]:
+                if level < ceilings[j] - epsilon:
+                    break
+                frozen[j] = True
+                to_freeze.append(j)
+            low += 1
         if not to_freeze:
             # Numerical corner: freeze the flow closest to its limit.
-            to_freeze = [min(
-                unfrozen,
+            j = min(
+                (j for j in range(n) if not frozen[j]),
                 key=lambda j: min(
-                    [ceilings[j] - alloc[j]] + [headroom[i] for i in paths[j]]
+                    [ceilings[j] - level] + [headroom[i] for i in paths[j]]
                 ),
-            )]
-        frozen = set(to_freeze)
+            )
+            frozen[j] = True
+            to_freeze.append(j)
         for j in to_freeze:
+            alloc[j] = level
             for i in paths[j]:
                 active[i] -= 1
-        unfrozen = [j for j in unfrozen if j not in frozen]
+        unfrozen -= len(to_freeze)
         live = [i for i in live if active[i]]
 
     return dict(zip(ids, alloc))

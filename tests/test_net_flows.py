@@ -236,6 +236,33 @@ class TestMatchesReference:
         assert alloc == {"a": 5.0, "b": 5.0}
         _assert_matches_reference(flows, {"L": 10.0, "M": 100.0})
 
+    def test_infinite_capacity_and_ceiling_is_unbounded(self):
+        # every share is inf, so the increment never leaves ``inf``
+        flows = [FlowSpec("f", ("L",)), FlowSpec("g", ("L", "M"))]
+        with pytest.raises(ValueError, match="unbounded"):
+            max_min_allocation(flows, {"L": inf, "M": inf})
+        _assert_matches_reference(flows, {"L": inf, "M": inf})
+
+    def test_equal_ceilings_freeze_in_the_same_pass(self):
+        # b, e share a ceiling and d sits within epsilon of it: all three
+        # freeze at the level that reached b's ceiling, not one per pass
+        # (d alone would otherwise take another 1e-10).
+        flows = [FlowSpec("a", ("L",), 30.0), FlowSpec("b", ("L",), 10.0),
+                 FlowSpec("c", ("L",)), FlowSpec("d", ("L",), 10.0 + 1e-10),
+                 FlowSpec("e", ("L",), 10.0)]
+        alloc = max_min_allocation(flows, {"L": 100.0})
+        assert alloc == {"a": 30.0, "b": 10.0, "c": 40.0, "d": 10.0, "e": 10.0}
+        _assert_matches_reference(flows, {"L": 100.0})
+
+    def test_numerical_corner_freezes_exactly_one_flow(self):
+        # After the first fill no flow is at a limit (see above); the
+        # corner freezes only the first flow, and the other two split
+        # the residue.
+        flows = [FlowSpec(name, ("L",)) for name in ("z", "y", "x")]
+        alloc = max_min_allocation(flows, {"L": 263696906.12266728})
+        assert alloc["z"] < alloc["y"] == alloc["x"]
+        _assert_matches_reference(flows, {"L": 263696906.12266728})
+
     def test_errors_match(self):
         cases = [
             ([FlowSpec("f", ("L",)), FlowSpec("f", ("M",))], {}),   # duplicate ids
