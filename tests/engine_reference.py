@@ -1,0 +1,79 @@
+"""Frozen reference copy of the original reschedule-everything engine.
+
+Before completion events survived reallocations, ``NetworkEngine``
+cancelled and re-scheduled every flow's completion event on every
+reallocation, and a completion event that fired with bytes beyond the
+drift allowance still owed was dropped.  :class:`ReferenceNetworkEngine`
+keeps those two methods verbatim as the oracle the property test in
+``tests/test_net_engine.py`` compares the live engine against: the same
+flows complete or are cancelled, at end times equal to within float
+rounding.  It is test-only: nothing under ``src/`` imports it.  Do not
+edit or optimise it — its value is that it is the old code.
+"""
+
+from __future__ import annotations
+
+from math import ulp
+
+from repro import units
+from repro.net.engine import _DRIFT_ULPS, NetworkEngine, Transfer, TransferResult
+
+
+class ReferenceNetworkEngine(NetworkEngine):
+    """``NetworkEngine`` with the original reallocation and completion."""
+
+    def _do_reallocate(self) -> None:
+        self._m_reallocs.inc()
+        alloc = self._allocate([t._alloc_spec for t in self._flows.values()])
+        _complete = self._complete
+        sim_schedule = self.sim.schedule
+        for t in self._flows.values():
+            t.rate_bps = alloc[t.flow_id]
+            if t._completion_handle is not None:
+                t._completion_handle.cancel()
+                t._completion_handle = None
+            if t.remaining_bytes <= 1e-9:
+                # Completed exactly at this instant.
+                sim_schedule(0.0, lambda t=t: _complete(t))
+            elif t.rate_bps > 0:
+                eta = units.transfer_seconds(t.remaining_bytes, t.rate_bps)
+                t._completion_handle = sim_schedule(eta, lambda t=t: _complete(t))
+            # rate == 0: flow is starved; it stays until a reallocation frees capacity
+
+    def _complete(self, transfer: Transfer) -> None:
+        if transfer.finished or transfer.flow_id not in self._flows:
+            return
+        self._drain_all()
+        # Draining quantizes progress on the float time axis, so at multi-
+        # Gbit/s rates a flow's own completion event can arrive with a few
+        # time-ulps' worth of bytes still on the books (eps(now) * rate/8 —
+        # ~1e-4 B at t=4e3 s and 10 Gbit/s, above any fixed byte epsilon).
+        # Anything beyond that drift is a genuinely stale event (rate
+        # changed after scheduling; the reallocation that changed it
+        # scheduled a fresh handle) and must not complete the flow early.
+        drift = (units.bytes_per_sec(transfer.rate_bps)
+                 * _DRIFT_ULPS * ulp(max(self.sim.now, 1.0)))
+        if transfer.remaining_bytes > max(1e-6, drift):
+            return
+        self._remove(transfer)
+        result = TransferResult(
+            label=transfer.label,
+            nbytes=transfer.payload_bytes,
+            start_time=transfer.start_time,
+            end_time=self.sim.now,
+        )
+        self.tracer.emit(
+            self.sim.now, "net.engine", "flow_end",
+            flow=transfer.flow_id, label=transfer.label,
+            duration=round(result.duration_s, 6),
+        )
+        self._m_completed.inc()
+        self._m_payload.inc(transfer.payload_bytes)
+        prof = self.sim.profiler
+        if prof is not None:
+            prof.count_bytes("net.engine.payload", transfer.payload_bytes)
+        self._m_active.set(len(self._flows))
+        self._m_duration.observe(result.duration_s)
+        self._m_throughput.observe(result.mean_rate_bps)
+        transfer.done.trigger(result)
+        self._reallocate()
