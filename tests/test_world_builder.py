@@ -1,10 +1,14 @@
 """WorldBuilder: declarative scenario construction."""
 
+import hashlib
+import runpy
+from pathlib import Path
+
 import pytest
 
 from repro.cloud import make_gdrive_protocol
 from repro.core import DetourPlanner, DirectRoute, PlanExecutor, TransferPlan
-from repro.errors import TopologyError
+from repro.errors import RoutingError, TopologyError
 from repro.geo.sites import SITES, Site, SiteKind, register_site
 from repro.geo.coords import GeoPoint
 from repro.testbed import WorldBuilder
@@ -139,3 +143,50 @@ class TestCrossTrafficAttachment:
         world = b.build()
         world.sim.run(until=120)
         assert world.sim.now >= 120  # background kept the sim alive
+
+
+def _europe_builder():
+    """``build_europe`` from the custom-scenario example."""
+    path = Path(__file__).resolve().parent.parent / "examples" / "custom_scenario.py"
+    return runpy.run_path(str(path))["build_europe"]
+
+
+def _path_lines(world):
+    """Every ordered host pair: its path and link metrics, or unreachable."""
+    hosts = sorted(n.name for n in world.topology.nodes.values() if n.is_host)
+    lines = []
+    for src in hosts:
+        for dst in hosts:
+            if src == dst:
+                continue
+            try:
+                p = world.router.resolve(src, dst)
+            except (RoutingError, TopologyError):
+                lines.append(f"{src} {dst} unreachable")
+                continue
+            lines.append(f"{src} {dst} {' '.join(p.nodes)} "
+                         f"{p.rtt_s!r} {p.bottleneck_bps!r} {p.loss!r}")
+    return lines
+
+
+#: sha256 over the host-pair paths and detour comparisons of the example's
+#: European world at two seeds, plus ``tiny_world`` upload times at four.
+BUILDER_GOLDEN = "8e8b9d5427db8ac4a1b24f18f773979d33202b791c40d64a2a5c8f9003a83b16"
+
+
+def test_builder_worlds_golden():
+    build_europe = _europe_builder()
+    lines = []
+    for seed in (0, 3):
+        world = build_europe(seed)
+        lines.extend(_path_lines(world))
+        planner = DetourPlanner(world, runs_per_route=2, discard_runs=0)
+        for client in ("eth", "imperial"):
+            lines.append(planner.compare(client, "cloudx", int(mb(100))).render())
+    for seed in range(4):
+        b, _ = tiny_world(seed=seed)
+        result = PlanExecutor(b.build()).run(TransferPlan(
+            "campus-x", "tiny-cloud", FileSpec("g.bin", int(mb(10))), DirectRoute()))
+        lines.append(repr(result.total_s))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == BUILDER_GOLDEN
