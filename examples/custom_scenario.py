@@ -17,13 +17,12 @@ congested (8 Mbit/s):
 Run:  python examples/custom_scenario.py
 """
 
-from repro.cloud import make_gdrive_protocol
 from repro.core import DetourPlanner
 from repro.testbed import WorldBuilder
 from repro.units import mb, mbps, ms
 
 
-def build_europe(seed: int = 0):
+def europe_builder(seed: int = 0) -> WorldBuilder:
     b = WorldBuilder(seed=seed)
 
     # geography
@@ -47,7 +46,7 @@ def build_europe(seed: int = 0):
     b.peer(isp, cloudx)
     b.peer(isp, geant)
     # GEANT's commercial peering service: UvA subscribes, ETH does not
-    b.export_filter(geant, eth, lambda dest: dest != cloudx)
+    b.export_deny(geant, eth, [cloudx])
 
     # backbone routers
     b.router("isp-core", isp, site="cloudx-fra")
@@ -73,11 +72,14 @@ def build_europe(seed: int = 0):
 
     # the provider, with POPs in Frankfurt and London
     provider = b.provider("cloudx", cloudx, attach_to="cloudx-fra-edge",
-                          protocol=make_gdrive_protocol(), site="cloudx-fra",
+                          protocol="gdrive", site="cloudx-fra",
                           display_name="CloudX Storage")
     b.add_pop(provider, cloudx, attach_to="cloudx-lon-edge", site="cloudx-lon")
+    return b
 
-    return b.build()
+
+def build_europe(seed: int = 0):
+    return europe_builder(seed).build()
 
 
 def main() -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from repro.errors import TopologyError
 
@@ -44,11 +44,6 @@ class AutonomousSystem:
         return f"AS{self.number}({self.name})"
 
 
-#: An export filter decides whether `announcer` may advertise routes for
-#: destination AS `dest` to `neighbor`.  Returning True permits the export.
-ExportFilter = Callable[[int], bool]
-
-
 class ASGraph:
     """AS-level graph with business relationships and export filters."""
 
@@ -58,8 +53,8 @@ class ASGraph:
         # rel[(a, b)] = relationship of b from a's point of view
         self._rel: Dict[Tuple[int, int], Relationship] = {}
         self._neighbors: Dict[int, Set[int]] = {}
-        # export filter: (announcer, neighbor) -> predicate(dest_asn)
-        self._export: Dict[Tuple[int, int], ExportFilter] = {}
+        # export filter: (announcer, neighbor) -> denied destination ASNs
+        self._export_deny: Dict[Tuple[int, int], FrozenSet[int]] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -102,8 +97,8 @@ class ASGraph:
         """Declare a settlement-free peering between *a* and *b*."""
         self._connect(a, b, Relationship.PEER)
 
-    def set_export_filter(self, announcer: int, neighbor: int, allow: ExportFilter) -> None:
-        """Restrict which destinations *announcer* advertises to *neighbor*.
+    def set_export_deny(self, announcer: int, neighbor: int, dests: Iterable[int]) -> None:
+        """Stop *announcer* advertising routes to the *dests* ASes to *neighbor*.
 
         Applied on top of the Gao-Rexford defaults; it can only *remove*
         announcements, never add ones the defaults forbid.
@@ -112,7 +107,7 @@ class ASGraph:
         self._check(neighbor)
         if neighbor not in self._neighbors[announcer]:
             raise TopologyError(f"AS{announcer} and AS{neighbor} are not neighbors")
-        self._export[(announcer, neighbor)] = allow
+        self._export_deny[(announcer, neighbor)] = frozenset(dests)
 
     # -- queries ----------------------------------------------------------
 
@@ -144,8 +139,7 @@ class ASGraph:
 
     def may_export(self, announcer: int, neighbor: int, dest: int) -> bool:
         """Does *announcer*'s export filter allow advertising *dest*?"""
-        allow = self._export.get((announcer, neighbor))
-        return True if allow is None else bool(allow(dest))
+        return dest not in self._export_deny.get((announcer, neighbor), ())
 
     def customer_cone(self, asn: int) -> Set[int]:
         """All ASes reachable by repeatedly descending customer edges."""

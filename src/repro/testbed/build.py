@@ -33,14 +33,13 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import KernelProfiler
 from repro.testbed.params import CaseStudyParams, DEFAULT_PARAMS
 from repro.topo.compiled import CompiledTopology
-from repro.topo.materialize import compile_spec, materialize
+from repro.topo.materialize import compile_spec, materialize, site_records
 from repro.topo.spec import (
     AsRec,
     LinkRec,
     NodeRec,
     PbrRec,
     ProviderRec,
-    SiteRec,
     TopoGraph,
     TopoSpec,
 )
@@ -267,22 +266,10 @@ def case_study_topo_spec(params: Optional[CaseStudyParams] = None) -> TopoSpec:
     """
     p = params if params is not None else DEFAULT_PARAMS
 
-    # sites, in first-reference order over the node table
-    node_rows = _nodes(p)
-    site_keys = []
-    for row in node_rows:
-        key = row[5]
-        if key not in site_keys:
-            site_keys.append(key)
-    sites = tuple(
-        SiteRec(s.name, s.kind.value, s.location.lat, s.location.lon,
-                s.city, s.description, s.planetlab)
-        for s in (site(key) for key in site_keys))
-
     nodes = tuple(
         NodeRec(name, kind.value, asn, addr, hostname=hostname, site=site_name,
                 responds=responds)
-        for name, kind, asn, addr, hostname, site_name, responds in node_rows)
+        for name, kind, asn, addr, hostname, site_name, responds in _nodes(p))
     links = tuple(
         LinkRec(u, v, capacity_bps=cap, delay_s=delay, loss=loss,
                 policers=tuple(sorted((policer or {}).items())),
@@ -324,7 +311,7 @@ def case_study_topo_spec(params: Optional[CaseStudyParams] = None) -> TopoSpec:
     )
 
     graph = TopoGraph(
-        sites=sites, ases=ases, nodes=nodes, links=links,
+        sites=site_records(nodes), ases=ases, nodes=nodes, links=links,
         customers=customers, peerings=peerings, export_deny=export_deny,
         pbr_rules=pbr_rules, providers=providers,
         hosts=(("ubc", "ubc-pl"), ("purdue", "purdue-pl"),

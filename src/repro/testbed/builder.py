@@ -10,58 +10,66 @@ and benchmarks against it:
     edu = b.autonomous_system("eth-campus")
     geant = b.autonomous_system("geant")
     b.customer(provider=geant, customer=edu)
-    client = b.campus("eth", asn=edu, site="eth", access_bps=mbps(100))
+    client = b.campus("eth", asn=edu, access_bps=mbps(100))
     ...
     world = b.build()
 
-The builder handles the bookkeeping the raw APIs expect: address
-allocation, border routers, inter-AS link wiring, DNS registration, and
-validation at ``build()`` time.
+The builder handles the bookkeeping the raw records expect: address
+allocation, border routers and inter-AS link naming.  Its calls append
+:mod:`repro.topo.spec` records in call order; :meth:`WorldBuilder.spec`
+returns them as an explicit :class:`~repro.topo.spec.TopoSpec` (usable
+as a fleet, campaign or shard ``topo=`` input), and
+:meth:`WorldBuilder.build` compiles and materializes that spec exactly
+like the case study.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cloud.provider import CloudProvider, UploadProtocol
 from repro.core.world import World
 from repro.errors import TopologyError
 from repro.geo.coords import GeoPoint
 from repro.geo.sites import Site, SiteKind, SITES, register_site
 from repro.net.address import PrefixAllocator
-from repro.net.asn import ASGraph, AutonomousSystem
 from repro.net.crosstraffic import CrossTrafficConfig, start_sources
-from repro.net.dns import DnsResolver
-from repro.net.engine import NetworkEngine
-from repro.net.policy import PbrRule, PolicyTable
-from repro.net.routing import Router
-from repro.net.tcp import TcpModel
-from repro.net.topology import Link, Node, NodeKind, Topology
-from repro.sim.kernel import Simulator
-from repro.sim.rng import RngRegistry
-from repro.sim.trace import Tracer
+from repro.net.topology import NodeKind
+from repro.topo.materialize import compile_spec, materialize, site_records
+from repro.topo.spec import (
+    AsRec,
+    LinkRec,
+    NodeRec,
+    PbrRec,
+    ProviderRec,
+    TopoGraph,
+    TopoSpec,
+)
 from repro.units import mbps, ms
 
 __all__ = ["WorldBuilder"]
 
 
 class WorldBuilder:
-    """Accumulates a scenario, then wires and validates a :class:`World`."""
+    """Accumulates a scenario as records, then compiles it into a :class:`World`."""
 
     def __init__(self, seed: int = 0, trace: bool = False):
         self.seed = seed
         self.trace = trace
         self._asn_counter = itertools.count(64512)  # private ASN range
         self._prefix_counter = itertools.count(0)
-        self.topology = Topology()
-        self.as_graph = ASGraph()
-        self.policy = PolicyTable()
         self._allocators: Dict[int, PrefixAllocator] = {}
+        self._ases: List[AsRec] = []
+        self._nodes: List[NodeRec] = []
+        self._links: List[LinkRec] = []
+        self._customers: List[Tuple[int, int]] = []
+        self._peerings: List[Tuple[int, int]] = []
+        self._export_deny: List[Tuple[int, int, Tuple[int, ...]]] = []
+        self._pbr: List[PbrRec] = []
+        self._providers: Dict[str, ProviderRec] = {}
         self._hosts: Dict[str, str] = {}
-        self._dtns: List[Tuple[str, str, Optional[float], Optional[int]]] = []
-        self._providers: List[CloudProvider] = []
+        self._dtn_sites: List[str] = []
         self._cross: List[CrossTrafficConfig] = []
         self._built = False
 
@@ -76,7 +84,7 @@ class WorldBuilder:
         """Declare an AS; returns its number (auto-assigned if omitted)."""
         if number is None:
             number = next(self._asn_counter)
-        self.as_graph.add_as(AutonomousSystem(number, name))
+        self._ases.append(AsRec(number, name))
         self._allocators[number] = PrefixAllocator(
             f"10.{next(self._prefix_counter) % 200 + 1}.0.0/16"
         )
@@ -88,28 +96,31 @@ class WorldBuilder:
             raise TopologyError(f"AS{asn} was not declared via autonomous_system()")
         return alloc.host()
 
+    def _node(self, name: str, kind: NodeKind, asn: int, site: str,
+              **fields) -> None:
+        self._nodes.append(NodeRec(name, kind.value, asn, self._addr(asn),
+                                   site=site, **fields))
+
     # -- relationships & policy -------------------------------------------------
 
     def customer(self, provider: int, customer: int) -> "WorldBuilder":
-        self.as_graph.add_customer(provider, customer)
+        self._customers.append((provider, customer))
         return self
 
     def peer(self, a: int, b: int) -> "WorldBuilder":
-        self.as_graph.add_peering(a, b)
+        self._peerings.append((a, b))
         return self
 
-    def export_filter(self, announcer: int, neighbor: int, allow) -> "WorldBuilder":
-        self.as_graph.set_export_filter(announcer, neighbor, allow)
+    def export_deny(self, announcer: int, neighbor: int,
+                    dests: Sequence[int]) -> "WorldBuilder":
+        """*announcer* does not advertise routes to the *dests* ASes to *neighbor*."""
+        self._export_deny.append((announcer, neighbor, tuple(sorted(dests))))
         return self
 
     def pbr(self, node: str, out_link: str, src_prefixes: Sequence[str] = (),
             dest_asns: Sequence[int] = (), description: str = "") -> "WorldBuilder":
-        self.policy.install(PbrRule(
-            node=node, out_link=out_link,
-            src_prefixes=frozenset(src_prefixes),
-            dest_asns=frozenset(dest_asns),
-            description=description,
-        ))
+        self._pbr.append(PbrRec(node, out_link, tuple(src_prefixes),
+                                tuple(dest_asns), description))
         return self
 
     # -- structure ---------------------------------------------------------------
@@ -119,103 +130,86 @@ class WorldBuilder:
                firewall_per_flow_bps: Optional[float] = None) -> str:
         """Add a router (or middlebox, when it has a firewall cap)."""
         kind = NodeKind.MIDDLEBOX if firewall_per_flow_bps else NodeKind.ROUTER
-        self.topology.add_node(Node(
-            name, kind, asn, self._addr(asn), hostname=hostname,
-            site_name=site, responds_to_traceroute=responds_to_traceroute,
-            firewall_per_flow_bps=firewall_per_flow_bps,
-        ))
+        self._node(name, kind, asn, site, hostname=hostname,
+                   responds=responds_to_traceroute,
+                   firewall_per_flow_bps=firewall_per_flow_bps)
         return name
 
     def campus(self, site_key: str, asn: int, access_bps: float,
-               site: Optional[str] = None, host_name: Optional[str] = None,
+               host_name: Optional[str] = None,
                access_delay_s: float = ms(0.2)) -> str:
         """A client campus: one host behind one border router.
 
         Registers the host under *site_key* in ``world.hosts`` so planners
         can address it by site.
         """
-        site = site if site is not None else site_key
-        if site not in SITES:
+        if site_key not in SITES:
             raise TopologyError(
-                f"unknown site {site!r}; call add_site() first"
+                f"unknown site {site_key!r}; call add_site() first"
             )
         host = host_name or f"{site_key}-host"
         border = f"{site_key}-border"
-        self.topology.add_node(Node(host, NodeKind.HOST, asn, self._addr(asn),
-                                    site_name=site))
-        self.topology.add_node(Node(border, NodeKind.ROUTER, asn, self._addr(asn),
-                                    site_name=site))
-        self.topology.add_link(Link(host, border, capacity_bps=access_bps,
-                                    delay_s=access_delay_s))
+        self._node(host, NodeKind.HOST, asn, site_key)
+        self._node(border, NodeKind.ROUTER, asn, site_key)
+        self.link(host, border, access_bps, access_delay_s)
         self._hosts[site_key] = host
         return host
 
     def link(self, a: str, b: str, capacity_bps: float, delay_s: float,
-             loss: float = 0.0, policer_bps: Optional[Dict[str, float]] = None,
-             name: str = "") -> str:
-        link = Link(a, b, capacity_bps=capacity_bps, delay_s=delay_s, loss=loss,
-                    policer_bps=policer_bps or {}, name=name)
-        self.topology.add_link(link)
+             loss: float = 0.0,
+             policer_bps: Optional[Dict[str, float]] = None) -> str:
+        """Add a link; returns its name, ``"<a>--<b>"``."""
+        link = LinkRec(a, b, capacity_bps=capacity_bps, delay_s=delay_s,
+                       loss=loss, policers=tuple(sorted((policer_bps or {}).items())))
+        self._links.append(link)
         return link.name
 
     def dtn(self, site_key: str, asn: int, attach_to: str, uplink_bps: float,
-            site: Optional[str] = None, capacity_bytes: Optional[float] = None,
-            max_sessions: Optional[int] = None,
             uplink_delay_s: float = ms(0.2)) -> str:
         """A data-transfer node attached to an existing router."""
-        site = site if site is not None else site_key
         host = f"{site_key}-dtn"
-        self.topology.add_node(Node(host, NodeKind.HOST, asn, self._addr(asn),
-                                    site_name=site))
-        self.topology.add_link(Link(host, attach_to, capacity_bps=uplink_bps,
-                                    delay_s=uplink_delay_s))
+        self._node(host, NodeKind.HOST, asn, site_key)
+        self.link(host, attach_to, uplink_bps, uplink_delay_s)
         self._hosts[site_key] = host
-        self._dtns.append((site_key, host, capacity_bytes, max_sessions))
+        self._dtn_sites.append(site_key)
         return host
 
-    def provider(self, name: str, asn: int, attach_to: str, protocol: UploadProtocol,
+    def provider(self, name: str, asn: int, attach_to: str, protocol: str,
                  site: str, display_name: str = "", peering_bps: float = mbps(1000),
-                 peering_delay_s: float = ms(1)) -> CloudProvider:
+                 peering_delay_s: float = ms(1)) -> str:
         """A cloud provider: one frontend host peered off *attach_to*.
 
-        The caller is responsible for the AS relationship between the
-        provider's AS and the rest of the graph (usually ``peer``).
+        *protocol* names the upload protocol (``gdrive``, ``dropbox`` or
+        ``onedrive``).  The caller is responsible for the AS relationship
+        between the provider's AS and the rest of the graph (usually
+        ``peer``).  Returns the provider name.
         """
         frontend = f"{name}-frontend"
-        self.topology.add_node(Node(frontend, NodeKind.HOST, asn, self._addr(asn),
-                                    hostname=f"storage.{name}.example",
-                                    site_name=site))
-        self.topology.add_link(Link(attach_to, frontend, capacity_bps=peering_bps,
-                                    delay_s=peering_delay_s))
-        provider = CloudProvider(
-            name=name,
-            display_name=display_name or name,
-            api_hostname=f"api.{name}.example",
-            auth_hostname=f"auth.{name}.example",
-            frontend_nodes=[frontend],
-            protocol=protocol,
-        )
-        self._providers.append(provider)
-        return provider
+        self._node(frontend, NodeKind.HOST, asn, site,
+                   hostname=f"storage.{name}.example")
+        self.link(attach_to, frontend, peering_bps, peering_delay_s)
+        self._providers[name] = ProviderRec(
+            name, display_name or name, f"api.{name}.example",
+            f"auth.{name}.example", (frontend,), protocol)
+        return name
 
-    def add_pop(self, provider: CloudProvider, asn: int, attach_to: str, site: str,
+    def add_pop(self, provider: str, asn: int, attach_to: str, site: str,
                 peering_bps: float = mbps(1000), peering_delay_s: float = ms(1)) -> str:
-        """Add another point of presence to *provider*.
+        """Add another point of presence to the provider named *provider*.
 
         Geo-DNS steers each client to its nearest POP, so multi-POP
         providers reproduce the paper's observation that vendors deploy
         POPs "to provide better network performance to the clients".
         """
-        if provider not in self._providers:
-            raise TopologyError(f"provider {provider.name!r} was not created by this builder")
-        index = len(provider.frontend_nodes) + 1
-        frontend = f"{provider.name}-frontend{index}"
-        self.topology.add_node(Node(frontend, NodeKind.HOST, asn, self._addr(asn),
-                                    hostname=f"storage{index}.{provider.name}.example",
-                                    site_name=site))
-        self.topology.add_link(Link(attach_to, frontend, capacity_bps=peering_bps,
-                                    delay_s=peering_delay_s))
-        provider.frontend_nodes.append(frontend)
+        rec = self._providers.get(provider)
+        if rec is None:
+            raise TopologyError(f"provider {provider!r} was not created by this builder")
+        index = len(rec.frontends) + 1
+        frontend = f"{provider}-frontend{index}"
+        self._node(frontend, NodeKind.HOST, asn, site,
+                   hostname=f"storage{index}.{provider}.example")
+        self.link(attach_to, frontend, peering_bps, peering_delay_s)
+        self._providers[provider] = replace(rec, frontends=rec.frontends + (frontend,))
         return frontend
 
     def cross_traffic(self, link_name: str, from_node: str, utilization: float = 0.0,
@@ -233,30 +227,24 @@ class WorldBuilder:
 
     # -- assembly --------------------------------------------------------------
 
+    def spec(self) -> TopoSpec:
+        """The scenario so far as an explicit :class:`TopoSpec`."""
+        nodes = tuple(self._nodes)
+        return TopoSpec(name="builder", source="explicit", graph=TopoGraph(
+            sites=site_records(nodes), ases=tuple(self._ases), nodes=nodes,
+            links=tuple(self._links), customers=tuple(self._customers),
+            peerings=tuple(self._peerings), export_deny=tuple(self._export_deny),
+            pbr_rules=tuple(self._pbr), providers=tuple(self._providers.values()),
+            hosts=tuple(self._hosts.items()), dtn_sites=tuple(self._dtn_sites),
+        ))
+
     def build(self) -> World:
-        """Validate everything and return the wired :class:`World`."""
+        """Compile and materialize :meth:`spec`, then start cross traffic."""
         if self._built:
             raise TopologyError("WorldBuilder.build() may only be called once")
         self._built = True
-        self.topology.validate()
-        self.as_graph.validate()
-
-        sim = Simulator()
-        rng = RngRegistry(self.seed)
-        tracer = Tracer(enabled=self.trace)
-        router = Router(self.topology, self.as_graph, self.policy)
-        dns = DnsResolver(self.topology)
-        engine = NetworkEngine(sim, self.topology, tracer=tracer)
-        world = World(
-            sim=sim, topology=self.topology, as_graph=self.as_graph,
-            policy=self.policy, router=router, dns=dns, engine=engine,
-            tcp=TcpModel(), rng=rng, tracer=tracer, seed=self.seed,
-        )
-        for provider in self._providers:
-            world.add_provider(provider)
-        world.hosts.update(self._hosts)
-        for site_key, host, capacity, max_sessions in self._dtns:
-            world.add_dtn(site_key, host, capacity, max_sessions)
+        world = materialize(compile_spec(self.spec()), seed=self.seed,
+                            trace=self.trace)
         if self._cross:
-            start_sources(self._cross, sim, engine, rng.stream)
+            start_sources(self._cross, world.sim, world.engine, world.rng.stream)
         return world

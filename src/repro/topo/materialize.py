@@ -17,27 +17,27 @@ Two halves:
   rebuild the live objects in array order (order is semantic: IGP
   tie-breaks follow adjacency insertion), seed the router's path cache
   from the precompiled routes, wire providers/hosts/DTNs, and apply the
-  per-seed capacity jitter streams (``capjitter.<link>``) exactly as the
-  hand-built testbed does.
+  per-seed capacity jitter streams (``capjitter.<link>``).
 
-The calibrated case study flows through the same two functions (see
-:mod:`repro.testbed.build`), so one construction path serves both the
-5-site paper world and generated 10^3–10^4-site worlds.
+The calibrated case study (:mod:`repro.testbed.build`) and user-built
+worlds (:class:`repro.testbed.WorldBuilder`) flow through the same two
+functions, so one construction path serves the 5-site paper world,
+user scenarios and generated 10^3–10^4-site worlds.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.cloud.dropbox import make_dropbox_protocol
 from repro.cloud.gdrive import make_gdrive_protocol
 from repro.cloud.onedrive import make_onedrive_protocol
 from repro.cloud.provider import CloudProvider
 from repro.core.world import World
-from repro.errors import RoutingError, TopoError
+from repro.errors import RoutingError, TopoError, TopologyError
 from repro.geo.coords import GeoPoint
-from repro.geo.sites import Site, SiteKind, register_site
+from repro.geo.sites import SITES, Site, SiteKind, register_site
 from repro.net.asn import ASGraph, AutonomousSystem
 from repro.net.dns import DnsResolver
 from repro.net.engine import NetworkEngine
@@ -53,10 +53,10 @@ from repro.sim.trace import Tracer
 from repro.topo.compiled import CompiledTopology, compile_graph
 from repro.topo.instrument import TopoInstrumentation
 from repro.topo.routecache import RouteCache
-from repro.topo.spec import TopoGraph, TopoSpec
+from repro.topo.spec import NodeRec, SiteRec, TopoGraph, TopoSpec
 from repro.topo.synth import generate
 
-__all__ = ["build_skeleton", "compile_spec", "materialize"]
+__all__ = ["build_skeleton", "compile_spec", "materialize", "site_records"]
 
 #: Upload-protocol factories reachable from serialized provider records.
 _PROTOCOL_FACTORIES = {
@@ -64,6 +64,18 @@ _PROTOCOL_FACTORIES = {
     "dropbox": make_dropbox_protocol,
     "onedrive": make_onedrive_protocol,
 }
+
+
+def site_records(nodes: Iterable[NodeRec]) -> Tuple[SiteRec, ...]:
+    """Records of the registered sites *nodes* reference, in first-reference order."""
+    keys = dict.fromkeys(n.site for n in nodes if n.site)
+    unknown = [key for key in keys if key not in SITES]
+    if unknown:
+        raise TopologyError(f"unregistered sites {unknown}; register them first")
+    return tuple(
+        SiteRec(s.name, s.kind.value, s.location.lat, s.location.lon,
+                s.city, s.description, s.planetlab)
+        for s in (SITES[key] for key in keys))
 
 
 def _register_sites(graph: TopoGraph) -> None:
@@ -108,10 +120,7 @@ def build_skeleton(graph: TopoGraph) -> Tuple[Topology, ASGraph, PolicyTable]:
     for a, b in graph.peerings:
         as_graph.add_peering(a, b)
     for announcer, neighbor, deny in graph.export_deny:
-        denied = frozenset(deny)
-        as_graph.set_export_filter(
-            announcer, neighbor,
-            lambda dest, _denied=denied: dest not in _denied)
+        as_graph.set_export_deny(announcer, neighbor, deny)
     as_graph.validate()
 
     policy = PolicyTable()
@@ -157,9 +166,10 @@ def _compute_routes(graph: TopoGraph,
     for src, dst in _route_pairs(graph):
         try:
             resolved = router.resolve(src, dst)
-        except RoutingError:
-            # disconnected pair (possible in ingested snapshots);
-            # materialized worlds fall back to on-demand resolution
+        except (RoutingError, TopologyError):
+            # disconnected pair (possible in ingested snapshots, or a
+            # destination unreachable inside its own AS); materialized
+            # worlds fall back to on-demand resolution
             continue
         paths.append([node_idx[name] for name in resolved.nodes])
     return paths
@@ -237,10 +247,9 @@ def materialize(compiled: CompiledTopology,
                 ) -> World:
     """Compiled topology → a live :class:`~repro.core.world.World`.
 
-    Mirrors the hand-built testbed's construction exactly: same object
-    order, same ``capjitter.<link>`` jitter streams, same provider and
-    DTN wiring — so a world built through this path is byte-identical
-    to one built by hand from the same records and seed.
+    Objects are created in record order and each link's capacity is
+    scaled by its own ``capjitter.<link>`` stream, so the same compiled
+    topology and seed always give a byte-identical world.
     """
     obs = instrumentation if instrumentation is not None else TopoInstrumentation()
     if isinstance(metrics, MetricsRegistry):

@@ -240,8 +240,8 @@ class ProviderRec:
     """A cloud-storage provider and its POP frontends.
 
     ``protocol`` names the upload-protocol factory (``gdrive`` /
-    ``dropbox`` / ``onedrive``) — export filters and lambdas don't
-    serialize, so providers are data here and behaviour at materialize.
+    ``dropbox`` / ``onedrive``) — protocol objects don't serialize, so
+    providers are data here and behaviour at materialize.
     """
 
     name: str
@@ -260,8 +260,8 @@ class TopoGraph:
     :class:`~repro.net.topology.Topology` in exactly this order so
     adjacency-driven tie-breaks reproduce byte-identically.
     ``export_deny`` encodes per-neighbor BGP export filters as *deny
-    lists* of destination ASNs (the only serializable subset — and the
-    only one the testbed uses).
+    lists* of destination ASNs, the form
+    :meth:`~repro.net.asn.ASGraph.set_export_deny` takes.
     """
 
     sites: Tuple[SiteRec, ...] = ()

@@ -100,7 +100,6 @@ class TestRonRecovery:
         """RON's founding scenario: after a failure, BGP offers *no* path
         between two members (no valley-free route remains), but a relay
         through a third member restores connectivity."""
-        from repro.cloud import make_gdrive_protocol
         from repro.testbed import WorldBuilder
         from repro.units import ms
 
@@ -118,10 +117,10 @@ class TestRonRecovery:
         b.customer(t1, c).customer(t2, c)
         b.router("t1-core", t1, site="ron-a")
         b.router("t2-core", t2, site="ron-c")
-        b.campus("ron-a", a, access_bps=mbps(50), site="ron-a")
-        b.campus("ron-b", bb, access_bps=mbps(50), site="ron-b")
-        b.campus("ron-c", c, access_bps=mbps(50), site="ron-c")
-        b.link("ron-a-border", "t1-core", mbps(1000), ms(2), name="a-t1")
+        b.campus("ron-a", a, access_bps=mbps(50))
+        b.campus("ron-b", bb, access_bps=mbps(50))
+        b.campus("ron-c", c, access_bps=mbps(50))
+        b.link("ron-a-border", "t1-core", mbps(1000), ms(2))
         b.link("ron-a-border", "t2-core", mbps(1000), ms(3))
         b.link("ron-b-border", "t1-core", mbps(1000), ms(2))
         b.link("ron-c-border", "t1-core", mbps(1000), ms(2))
@@ -135,7 +134,7 @@ class TestRonRecovery:
         assert ron.select_path("ron-a-host", "ron-b-host", int(mb(20))).is_direct
 
         # A's T1 uplink dies; T1 and T2 do not peer, so BGP has NOTHING
-        world.fail_link("a-t1")
+        world.fail_link("ron-a-border--t1-core")
         with pytest.raises(RoutingError):
             world.router.resolve("ron-a-host", "ron-b-host")
 

@@ -151,7 +151,7 @@ class TestRoutingFailures:
     def test_unreachable_destination(self, mini_world):
         topo, asg, policy, router = mini_world
         # forbid research net from announcing cloud routes to campus-a
-        asg.set_export_filter(200, 100, lambda dest: dest != 300)
+        asg.set_export_deny(200, 100, {300})
         # also kill the PBR shortcut so BGP is consulted
         router2 = Router(topo, asg, PolicyTable())
         with pytest.raises(RoutingError):

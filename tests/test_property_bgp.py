@@ -153,7 +153,7 @@ def test_export_filter_never_violated(g, rnd):
     if not edges:
         return
     announcer, neighbor = rnd.choice(edges)
-    g.set_export_filter(announcer, neighbor, lambda dest: False)
+    g.set_export_deny(announcer, neighbor, g.ases)
     bgp = BgpRouteComputer(g)
     for dest in g.ases:
         for observer, route in bgp.table_for(dest).items():

@@ -10,17 +10,21 @@ and a transfer over any resolvable path completes.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cloud import make_gdrive_protocol
 from repro.errors import RoutingError
 from repro.geo.sites import SITES, Site, SiteKind, register_site
 from repro.geo.coords import GeoPoint
 from repro.testbed import WorldBuilder
 from repro.units import mb, mbps, ms
 
-# one shared pool of synthetic sites (registered once)
+# one shared pool of synthetic sites (registered once); campus i sits at
+# fuzz site (i + 2) % 8
 for i in range(8):
     register_site(Site(f"fuzz-site-{i}", SiteKind.CLIENT,
                        GeoPoint(30.0 + i * 2, -120.0 + i * 5), f"Fuzz City {i}"))
+for i in range(4):
+    j = (i + 2) % 8
+    register_site(Site(f"campus{i}", SiteKind.CLIENT,
+                       GeoPoint(30.0 + j * 2, -120.0 + j * 5), f"Fuzz City {j}"))
 
 
 @st.composite
@@ -55,8 +59,7 @@ def build_world(desc, seed=0):
         asn = b.autonomous_system(f"campus{i}")
         home = backbones[i % n_backbones]
         b.customer(home, asn)
-        site = f"fuzz-site-{(i + 2) % 8}"
-        b.campus(f"campus{i}", asn, access_bps=mbps(20 + 10 * i), site=site)
+        b.campus(f"campus{i}", asn, access_bps=mbps(20 + 10 * i))
         b.link(f"campus{i}-border", f"bb{i % n_backbones}-core", mbps(1000), ms(2))
         if extra_homes[i] and n_backbones > 1:
             other = backbones[(i + 1) % n_backbones]
@@ -66,14 +69,14 @@ def build_world(desc, seed=0):
         campuses.append((f"campus{i}", asn))
     b.peer(backbones[provider_backbone], cloud)
     provider = b.provider("cloud", cloud, attach_to=f"bb{provider_backbone}-core",
-                          protocol=make_gdrive_protocol(), site="fuzz-site-7",
+                          protocol="gdrive", site="fuzz-site-7",
                           peering_bps=mbps(100))
     if filter_campus is not None:
         # the provider's backbone refuses to announce cloud routes to one campus
         _, victim_asn = campuses[filter_campus]
         bb = backbones[filter_campus % n_backbones]
         if bb == backbones[provider_backbone]:
-            b.export_filter(bb, victim_asn, lambda dest: dest != cloud)
+            b.export_deny(bb, victim_asn, [cloud])
     return b.build(), campuses
 
 

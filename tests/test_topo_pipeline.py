@@ -38,6 +38,14 @@ from repro.topo import (
     preset_spec,
 )
 from repro.topo.compiled import ARRAY_FIELDS
+from repro.topo.spec import (
+    AsRec,
+    LinkRec,
+    NodeRec,
+    ProviderRec,
+    SiteRec,
+    TopoGraph,
+)
 
 pytestmark = pytest.mark.topo
 
@@ -229,6 +237,37 @@ class TestMaterialize:
         compiled = compile_spec(spec, routes=True)
         world = materialize(compiled, seed=0)
         assert set(world.hosts) == {"ubc", "purdue", "ucla", "umich", "ualberta"}
+
+    def test_pair_unreachable_inside_its_as_is_left_to_on_demand(self):
+        """A POP wired only through the ISP cannot be reached inside the
+        provider AS; compiling skips that pair instead of failing."""
+        graph = TopoGraph(
+            sites=(SiteRec("split-pop-campus", "client", 40.0, -100.0),),
+            ases=(AsRec(1, "split-campus"), AsRec(2, "split-isp"),
+                  AsRec(3, "split-cloud")),
+            nodes=(NodeRec("sp-host", "host", 1, "10.1.0.1", site="split-pop-campus"),
+                   NodeRec("sp-border", "router", 1, "10.1.0.2"),
+                   NodeRec("sp-isp", "router", 2, "10.2.0.1"),
+                   NodeRec("sp-edge", "router", 3, "10.3.0.1"),
+                   NodeRec("sp-fe1", "host", 3, "10.3.0.2", site="split-pop-campus"),
+                   NodeRec("sp-fe2", "host", 3, "10.3.0.3", site="split-pop-campus")),
+            links=(LinkRec("sp-host", "sp-border", 1e8, 1e-3),
+                   LinkRec("sp-border", "sp-isp", 1e9, 1e-3),
+                   LinkRec("sp-isp", "sp-edge", 1e9, 1e-3),
+                   LinkRec("sp-edge", "sp-fe1", 1e9, 1e-3),
+                   LinkRec("sp-isp", "sp-fe2", 1e9, 1e-3)),
+            customers=((2, 1),), peerings=((2, 3),),
+            providers=(ProviderRec("split-cloud", "Split", "api.split.example",
+                                   "auth.split.example", ("sp-fe1", "sp-fe2"),
+                                   "gdrive"),),
+            hosts=(("split-pop-campus", "sp-host"),),
+        )
+        compiled = compile_spec(TopoSpec("split-pop", "explicit", graph=graph))
+        assert compiled.route_name_paths() == [
+            ["sp-host", "sp-border", "sp-isp", "sp-edge", "sp-fe1"]]
+        world = materialize(compiled)
+        with pytest.raises(TopologyError):
+            world.router.resolve("sp-host", "sp-fe2")
 
 
 class TestCli:

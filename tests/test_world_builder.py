@@ -6,12 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.cloud import make_gdrive_protocol
+from repro.broker.fleet import run_fleet
 from repro.core import DetourPlanner, DirectRoute, PlanExecutor, TransferPlan
 from repro.errors import RoutingError, TopologyError
 from repro.geo.sites import SITES, Site, SiteKind, register_site
 from repro.geo.coords import GeoPoint
 from repro.testbed import WorldBuilder
+from repro.topo import TopoSpec
 from repro.transfer import FileSpec
 from repro.units import mb, mbps, ms
 
@@ -28,11 +29,11 @@ def tiny_world(seed=0):
     cloud = b.autonomous_system("tiny-cloud")
     b.customer(isp, campus).customer(isp, dtn_as).peer(isp, cloud)
     b.router("isp-core", isp, site="dc-z")
-    b.campus("campus-x", campus, access_bps=mbps(50), site="campus-x")
-    b.dtn("dtn-y", dtn_as, attach_to="isp-core", uplink_bps=mbps(200), site="dtn-y")
+    b.campus("campus-x", campus, access_bps=mbps(50))
+    b.dtn("dtn-y", dtn_as, attach_to="isp-core", uplink_bps=mbps(200))
     b.link("campus-x-border", "isp-core", mbps(1000), ms(5))
     provider = b.provider("tiny-cloud", cloud, attach_to="isp-core",
-                          protocol=make_gdrive_protocol(), site="dc-z",
+                          protocol="gdrive", site="dc-z",
                           peering_bps=mbps(100))
     return b, provider
 
@@ -57,7 +58,7 @@ class TestBuilderConstruction:
             "campus-x", "tiny-cloud", FileSpec("f.bin", int(mb(10))), DirectRoute()))
         # 10 MB at 50 Mbit/s access = 1.6 s + overheads
         assert 1.5 < result.total_s < 4.0
-        assert provider.store.exists("f.bin")
+        assert world.provider(provider).store.exists("f.bin")
 
     def test_dtn_registered_and_usable(self):
         b, _ = tiny_world(seed=1)
@@ -90,6 +91,12 @@ class TestBuilderConstruction:
         with pytest.raises(TopologyError, match="add_site"):
             b.campus("ghost-site-key", asn, access_bps=mbps(10))
 
+    def test_unregistered_site_rejected_by_spec(self):
+        b = WorldBuilder()
+        b.router("r", b.autonomous_system("x"), site="ghost-site-key")
+        with pytest.raises(TopologyError, match="ghost-site-key"):
+            b.spec()
+
     def test_router_in_undeclared_as_rejected(self):
         b = WorldBuilder()
         with pytest.raises(TopologyError, match="autonomous_system"):
@@ -107,7 +114,7 @@ class TestBuilderConstruction:
         b.router("fw", asn, firewall_per_flow_bps=mbps(10))
         from repro.net.topology import NodeKind
 
-        node = b.topology.node("fw")
+        node = b.build().topology.node("fw")
         assert node.kind is NodeKind.MIDDLEBOX
         assert node.firewall_per_flow_bps == mbps(10)
 
@@ -118,37 +125,34 @@ class TestMultiPop:
         cloud2_site = b.add_site("dc-east", 39.0, -77.0, "East DC")
         b.router("isp-east", b.autonomous_system("tiny-isp-east"), site="dc-east")
         # attach the new POP to the existing isp-core for simplicity
-        b.add_pop(provider, b.as_graph.by_name("tiny-cloud").number,
-                  attach_to="isp-core", site="dc-east")
+        cloud_asn = {a.name: a.asn for a in b.spec().graph.ases}["tiny-cloud"]
+        b.add_pop(provider, cloud_asn, attach_to="isp-core", site="dc-east")
         world = b.build()
-        assert len(provider.frontend_nodes) == 2
+        assert len(world.provider(provider).frontend_nodes) == 2
         # client in Kansas: Cali DC (dc-z) is nearer than the east DC
-        assert provider.frontend_for(world.dns, world.host_of("campus-x")) == \
-            "tiny-cloud-frontend"
+        assert world.provider(provider).frontend_for(
+            world.dns, world.host_of("campus-x")) == "tiny-cloud-frontend"
 
     def test_add_pop_foreign_provider_rejected(self):
         b, _ = tiny_world(seed=5)
-        from repro.cloud import CloudProvider
-
-        b2, other_provider = tiny_world(seed=6)
         with pytest.raises(TopologyError, match="not created by this builder"):
-            b.add_pop(other_provider, 65000, attach_to="isp-core", site="dc-z")
+            b.add_pop("other-cloud", 65000, attach_to="isp-core", site="dc-z")
 
 
 class TestCrossTrafficAttachment:
     def test_cross_traffic_runs(self):
         b, _ = tiny_world(seed=7)
-        link_name = b.topology.link_between("isp-core", "tiny-cloud-frontend").name
-        b.cross_traffic(link_name, "isp-core", utilization=0.5, mean_flow_bytes=2e6)
+        b.cross_traffic("isp-core--tiny-cloud-frontend", "isp-core",
+                        utilization=0.5, mean_flow_bytes=2e6)
         world = b.build()
         world.sim.run(until=120)
         assert world.sim.now >= 120  # background kept the sim alive
 
 
-def _europe_builder():
-    """``build_europe`` from the custom-scenario example."""
+def _example(name):
+    """*name* from the custom-scenario example."""
     path = Path(__file__).resolve().parent.parent / "examples" / "custom_scenario.py"
-    return runpy.run_path(str(path))["build_europe"]
+    return runpy.run_path(str(path))[name]
 
 
 def _path_lines(world):
@@ -175,7 +179,7 @@ BUILDER_GOLDEN = "8e8b9d5427db8ac4a1b24f18f773979d33202b791c40d64a2a5c8f9003a83b
 
 
 def test_builder_worlds_golden():
-    build_europe = _europe_builder()
+    build_europe = _example("build_europe")
     lines = []
     for seed in (0, 3):
         world = build_europe(seed)
@@ -190,3 +194,36 @@ def test_builder_worlds_golden():
         lines.append(repr(result.total_s))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == BUILDER_GOLDEN
+
+
+class TestBuilderSpec:
+    """Builder worlds are explicit specs: hashable, serializable, and usable
+    wherever a ``topo=`` world is."""
+
+    def test_identical_builders_hash_identically(self):
+        europe_builder = _example("europe_builder")
+        spec = europe_builder(0).spec()
+        assert spec.source == "explicit"
+        assert spec.content_hash() == europe_builder(0).spec().content_hash()
+        assert spec.content_hash() != tiny_world()[0].spec().content_hash()
+
+    def test_json_round_trip_keeps_the_hash(self):
+        spec = _example("europe_builder")(0).spec()
+        assert TopoSpec.from_json(spec.to_json()).content_hash() == spec.content_hash()
+
+    def test_runs_as_a_fleet_world(self):
+        spec = _example("europe_builder")(0).spec()
+        result = run_fleet(0, ["eth", "imperial"], provider="cloudx",
+                           n_uploads_per_site=3, mean_size_mb=10.0,
+                           mode="direct", cross_traffic=False, topo=spec)
+        assert len(result.records) == 6
+        assert all(0 < r.duration_s < float("inf") for r in result.records)
+
+    def test_cli_compiles_the_spec(self, tmp_path, capsys):
+        from repro.cli import main
+
+        spec_path = tmp_path / "europe.topo.json"
+        spec_path.write_text(_example("europe_builder")(0).spec().to_json())
+        assert main(["topo", "compile", str(spec_path),
+                     "-o", str(tmp_path / "europe.npz")]) == 0
+        assert "routes" in capsys.readouterr().out
