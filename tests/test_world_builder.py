@@ -108,6 +108,15 @@ class TestBuilderConstruction:
         with pytest.raises(TopologyError, match="only be called once"):
             b.build()
 
+    def test_export_deny_blocks_the_route(self):
+        b, provider = tiny_world(seed=3)
+        asns = {a.name: a.asn for a in b.spec().graph.ases}
+        b.export_deny(asns["tiny-isp"], asns["campus-x"], [asns["tiny-cloud"]])
+        world = b.build()
+        with pytest.raises(RoutingError):
+            world.router.resolve(world.host_of("campus-x"), "tiny-cloud-frontend")
+        world.router.resolve(world.host_of("dtn-y"), "tiny-cloud-frontend")
+
     def test_firewalled_router_is_middlebox(self):
         b = WorldBuilder()
         asn = b.autonomous_system("x")
