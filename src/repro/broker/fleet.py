@@ -249,7 +249,7 @@ def fleet_world(seed: int, topo=None, cross_traffic: bool = True,
     """The world a fleet runs in: *topo* compiled and materialized, or
     (``topo=None``) the calibrated case study.
 
-    Routes of a generated world are served from *cache_dir* when given;
+    The compiled world is served from *cache_dir* when given;
     *cross_traffic* only applies to the case study.
     """
     if topo is not None:
@@ -288,8 +288,8 @@ def run_fleet(
     By default the world is the calibrated case study; passing a
     :class:`~repro.topo.spec.TopoSpec` as *topo* runs the fleet on that
     (typically generated) world instead, compiled through
-    :func:`~repro.topo.materialize.compile_spec` — with routes served
-    from *cache_dir* when given.  Generated worlds carry no calibrated
+    :func:`~repro.topo.materialize.compile_spec` — served from
+    *cache_dir* when given.  Generated worlds carry no calibrated
     cross-traffic sources, so *cross_traffic* only applies to the
     default world.
 

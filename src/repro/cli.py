@@ -390,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("-o", "--out", default=None, metavar="FILE",
                    help="compiled output (default: <spec stem>.npz)")
     t.add_argument("--cache-dir", default=None, metavar="DIR", dest="cache_dir",
-                   help="content-addressed route cache directory")
+                   help="content-addressed compiled-world cache directory")
     t.add_argument("--no-routes", action="store_true", dest="no_routes",
                    help="skip route precomputation (routes resolve on "
                         "demand at materialize time)")
@@ -1205,6 +1205,7 @@ def _load_topo_spec(path: str):
 def _cmd_topo(args) -> int:
     import os
 
+    from repro.core.atomic import atomic_write, atomic_write_text
     from repro.topo import (
         CompiledTopology,
         compile_spec,
@@ -1222,9 +1223,7 @@ def _cmd_topo(args) -> int:
             spec = preset_spec(args.preset, seed=args.seed,
                                name=args.name or "")
         out = args.out or f"{spec.name}.topo.json"
-        with open(out, "w", encoding="utf-8") as fp:
-            fp.write(spec.to_json())
-            fp.write("\n")
+        atomic_write_text(out, spec.to_json() + "\n")
         stats = generate(spec).stats()
         shape = ", ".join(f"{k}={v}" for k, v in stats.items())
         print(f"wrote {out}: {spec.source} spec {spec.name!r} "
@@ -1251,7 +1250,8 @@ def _cmd_topo(args) -> int:
         compiled = compile_spec(spec, cache_dir=args.cache_dir,
                                 routes=not args.no_routes)
         out = args.out or os.path.splitext(args.spec)[0] + ".npz"
-        compiled.save(out)
+        with atomic_write(out, suffix=".npz") as tmp:
+            compiled.save(str(tmp))
         print(f"wrote {out}: {compiled.n_nodes} nodes, {compiled.n_links} "
               f"links, {compiled.n_routes} routes "
               f"(digest {compiled.content_digest()[:12]})")

@@ -16,7 +16,7 @@ The run root's layout is fixed::
     <root>/cells/          campaign result store (one JSON per cell)
     <root>/directory/      shared-directory file tier: per-site reports,
                            published snapshots (incl. the merged one)
-    <root>/topo-cache/     route cache for generated worlds
+    <root>/topo-cache/     compiled-world cache for generated worlds
 
 ``merge_sharded`` never rebuilds worlds and never re-reads upload
 records into memory: it slices each cell's stored durations back into

@@ -32,7 +32,6 @@ from repro.net.topology import NodeKind, Topology
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import KernelProfiler
 from repro.testbed.params import CaseStudyParams, DEFAULT_PARAMS
-from repro.topo.compiled import CompiledTopology
 from repro.topo.materialize import compile_spec, materialize, site_records
 from repro.topo.spec import (
     AsRec,
@@ -322,24 +321,6 @@ def case_study_topo_spec(params: Optional[CaseStudyParams] = None) -> TopoSpec:
     return TopoSpec(name="case-study", source="explicit", graph=graph)
 
 
-#: In-process memo of compiled case-study topologies by spec hash: route
-#: compilation is seed-independent, so every world built from the same
-#: params shares one compiled artifact (compiled arrays are never
-#: mutated by materialization).
-_COMPILED_CACHE: Dict[str, CompiledTopology] = {}
-
-
-def _compiled_case_study(params: CaseStudyParams,
-                         cache_dir: Optional[str] = None) -> CompiledTopology:
-    spec = case_study_topo_spec(params)
-    key = spec.content_hash()
-    compiled = _COMPILED_CACHE.get(key)
-    if compiled is None:
-        compiled = compile_spec(spec, cache_dir=cache_dir, routes=True)
-        _COMPILED_CACHE[key] = compiled  # simlint: ignore[SL1001] -- per-process memo; content is keyed by spec hash, so copies never diverge
-    return compiled
-
-
 def _cross_traffic_configs(p: CaseStudyParams):
     return [
         CrossTrafficConfig("transita-sf--google-edge-west", "transita-sf",
@@ -383,7 +364,7 @@ def build_case_study(
     """Construct the full case-study world.
 
     The spec from :func:`case_study_topo_spec` is compiled (routes
-    precomputed, memoized in-process per parameter set) and materialized
+    precomputed; ``compile_spec`` caches the compiled world) and materialized
     through :mod:`repro.topo` — the same pipeline that builds generated
     internet-scale worlds.
 
@@ -407,11 +388,12 @@ def build_case_study(
         kernel, or an existing profiler to aggregate across worlds
         (wall-time accounting; has no effect on simulated results).
     cache_dir:
-        Optional route-cache directory handed to
+        Optional compiled-world cache directory handed to
         :func:`~repro.topo.materialize.compile_spec`.
     """
     p = params if params is not None else DEFAULT_PARAMS
-    compiled = _compiled_case_study(p, cache_dir=cache_dir)
+    compiled = compile_spec(case_study_topo_spec(p), cache_dir=cache_dir,
+                            routes=True)
     world = materialize(compiled, seed=seed, trace=trace, metrics=metrics,
                         profile=profile)
     if cross_traffic:

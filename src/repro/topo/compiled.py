@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import zipfile
+import zlib
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -39,6 +41,13 @@ __all__ = ["CompiledTopology", "compile_graph"]
 
 #: Bump on any schema change; load refuses mismatches.
 COMPILED_VERSION = 1
+
+#: What ``np.load`` raises for a truncated or bit-flipped ``.npz``: the
+#: zip layer reports bad headers and CRCs as ``BadZipFile``, damaged
+#: deflate streams as ``zlib.error``, and garbled header fields as
+#: ``EOFError`` or ``NotImplementedError``.
+_LOAD_ERRORS = (OSError, ValueError, KeyError, EOFError, NotImplementedError,
+                zipfile.BadZipFile, zlib.error)
 
 #: Every array key, in digest order.  Grouped: sites, nodes, CSR
 #: adjacency, links, policers, ASes, relationships, export filters,
@@ -185,7 +194,7 @@ class CompiledTopology:
                 if "__meta__" not in payload.files:
                     raise TopoError(f"{path}: not a compiled topology (no meta)")
                 meta = json.loads(str(payload["__meta__"][0]))
-        except (OSError, ValueError, KeyError) as exc:
+        except _LOAD_ERRORS as exc:
             raise TopoError(f"cannot load compiled topology {path}: {exc}") from None
         if meta.get("version") != COMPILED_VERSION:
             raise TopoError(
@@ -305,7 +314,7 @@ def compile_graph(graph: TopoGraph, name: str, source: str,
     """Flatten a :class:`TopoGraph` into a :class:`CompiledTopology`.
 
     Routes start empty; the compile pipeline attaches them after
-    resolution (or from the route cache).
+    resolution.
     """
     site_idx = {s.name: i for i, s in enumerate(graph.sites)}
     node_idx = {n.name: i for i, n in enumerate(graph.nodes)}

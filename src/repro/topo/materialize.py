@@ -6,12 +6,12 @@ Two halves:
   expand (or take) the graph, flatten to arrays, then resolve the
   standard route set (every host to every provider frontend, every
   client host to every DTN host) over a *skeleton* world — topology, AS
-  graph and PBR only, no simulator.  Routes are served from the
-  content-addressed :class:`~repro.topo.routecache.RouteCache` when a
-  ``cache_dir`` is given; route resolution depends only on the spec
-  (capacity jitter is applied per seed at materialize time and never
-  changes hop sequences), so a warm cache skips the expensive phase
-  entirely.
+  graph and PBR only, no simulator.  The compiled world depends only on
+  the spec (capacity jitter is applied per seed at materialize time and
+  never changes hop sequences), so it is cached whole: in an in-process
+  memo for dirless compiles, and in the content-addressed
+  :class:`~repro.topo.routecache.RouteCache` when a ``cache_dir`` is
+  given, where a warm compile loads it without generating anything.
 
 * :func:`materialize` — compiled → :class:`~repro.core.world.World`:
   rebuild the live objects in array order (order is semantic: IGP
@@ -199,8 +199,12 @@ def compile_spec(spec: TopoSpec,
     from an in-process memo (skipped when *instrumentation* is given, so
     an instrumented compile always records its real phases, and when a
     *cache_dir* is given, so the disk artifact stays authoritative).
+    With a *cache_dir*, a route compile is served whole from the
+    :class:`~repro.topo.routecache.RouteCache` entry for the spec, or
+    compiled and stored there.
     """
-    memo_key = (spec.content_hash(), routes)
+    key = spec.content_hash()
+    memo_key = (key, routes)
     use_memo = instrumentation is None and cache_dir is None
     if use_memo:
         hit = _COMPILE_MEMO.get(memo_key)
@@ -208,26 +212,19 @@ def compile_spec(spec: TopoSpec,
             _COMPILE_MEMO.move_to_end(memo_key)
             return hit
     obs = instrumentation if instrumentation is not None else TopoInstrumentation()
-    with obs.phase("generate"):
-        graph = generate(spec)
-    key = spec.content_hash()
-    with obs.phase("arrays"):
-        compiled = compile_graph(graph, spec.name, spec.source, key, spec.tag)
-    if routes:
-        cache = RouteCache(cache_dir, obs) if cache_dir else None
-        cached = cache.load(key) if cache is not None else None
-        if cached is not None:
-            with obs.phase("routes_cached"):
-                indptr, flat = cached
-                compiled.arrays["route_indptr"] = indptr
-                compiled.arrays["route_node"] = flat
-                compiled.meta["routes"] = int(indptr.shape[0]) - 1
-        else:
+    cache = RouteCache(cache_dir, obs) if cache_dir and routes else None
+    compiled = cache.load(key) if cache is not None else None
+    if compiled is None:
+        with obs.phase("generate"):
+            graph = generate(spec)
+        with obs.phase("arrays"):
+            compiled = compile_graph(graph, spec.name, spec.source, key,
+                                     TopoSpec.tag_for(key))
+        if routes:
             with obs.phase("routes"):
                 compiled.attach_routes(_compute_routes(graph, compiled))
-            if cache is not None:
-                cache.store(key, compiled.arrays["route_indptr"],
-                            compiled.arrays["route_node"])
+        if cache is not None:
+            cache.store(key, compiled)
     obs.record_shape(compiled.n_sites, compiled.n_nodes, compiled.n_links,
                      compiled.n_routes)
     if use_memo:

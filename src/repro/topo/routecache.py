@@ -1,21 +1,24 @@
-"""Content-addressed on-disk cache of precompiled forwarding paths.
+"""Content-addressed on-disk cache of compiled worlds.
 
-Valley-free/policy route resolution over thousands of ASes is the
-expensive phase of compilation, and it depends only on the spec (routes
-are computed on *unjittered* capacities; per-seed jitter is applied at
-materialize time and never changes hop sequences).  So routes are cached
-under the spec's content hash: ``routes-<hash>.npz`` holding the two
-route arrays, plus a JSON sidecar carrying the cache version and the
-sha256 of the payload file.
+A compiled world depends only on its spec (routes are computed on
+*unjittered* capacities; per-seed jitter is applied at materialize time
+and never changes hop sequences).  So the whole
+:class:`~repro.topo.compiled.CompiledTopology`, precompiled routes
+included, is cached under the spec's content hash: ``routes-<hash>.npz``
+written by :meth:`CompiledTopology.save`, plus a JSON sidecar carrying
+the cache version and the sha256 of the payload file.  A warm compile
+loads it and skips ``generate``, the array build and route resolution.
 
 Lookups have three outcomes, each counted (and exported through
 :class:`~repro.topo.instrument.TopoInstrumentation` when attached):
 
-* **hit** — sidecar checks out, payload hash matches: arrays are loaded.
+* **hit** — sidecar checks out, payload hash matches, and the payload
+  loads as a compiled world of this spec: it is returned.
 * **miss** — no entry for the key: caller recomputes and stores.
 * **corrupt** — entry exists but the sidecar is unreadable, the version
-  is foreign, or the payload hash mismatches: the entry is ignored and
-  the caller recomputes (then overwrites).  Corruption never propagates.
+  is foreign, the payload hash mismatches, or the payload is not a
+  compiled world of this spec: the entry is ignored and the caller
+  recomputes (then overwrites).  Corruption never propagates.
 
 Writes are atomic (temp file + ``os.replace``) so a crashed compile
 can't leave a half-written entry that later loads garbage.
@@ -25,18 +28,17 @@ from __future__ import annotations
 
 import hashlib
 import os
-from typing import Optional, Tuple
-
-import numpy as np
+from typing import Optional
 
 from repro.core.atomic import atomic_write, atomic_write_json, read_json_object
 from repro.errors import TopoError
+from repro.topo.compiled import CompiledTopology
 from repro.topo.instrument import TopoInstrumentation
 
 __all__ = ["RouteCache"]
 
-#: Bump when the route array encoding changes; old entries recompute.
-ROUTE_CACHE_VERSION = 1
+#: Bump when the payload encoding changes; old entries recompute.
+ROUTE_CACHE_VERSION = 2
 
 
 def _file_sha256(path: str) -> str:
@@ -48,7 +50,7 @@ def _file_sha256(path: str) -> str:
 
 
 class RouteCache:
-    """Route-array cache rooted at one directory."""
+    """Compiled-world cache rooted at one directory."""
 
     def __init__(self, cache_dir: str,
                  instrumentation: Optional[TopoInstrumentation] = None):
@@ -77,8 +79,8 @@ class RouteCache:
 
     # -- lookup --------------------------------------------------------------
 
-    def load(self, key: str) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """``(route_indptr, route_node)`` for *key*, or None to recompute."""
+    def load(self, key: str) -> Optional[CompiledTopology]:
+        """The compiled world stored under *key*, or None to recompute."""
         payload = self.payload_path(key)
         sidecar = self.sidecar_path(key)
         if not os.path.exists(payload) and not os.path.exists(sidecar):
@@ -95,26 +97,21 @@ class RouteCache:
                 raise ValueError("sidecar names a different key")
             if _file_sha256(payload) != expect.get("sha256"):
                 raise ValueError("payload checksum mismatch")
-            with np.load(payload, allow_pickle=False) as data:
-                indptr = np.asarray(data["route_indptr"], dtype=np.int64)
-                flat = np.asarray(data["route_node"], dtype=np.int64)
-        except (OSError, ValueError, KeyError):
-            self.corrupt += 1
-            self.obs.cache_corrupt.inc()
-            return None
-        if indptr.size == 0 or indptr[0] != 0 or indptr[-1] != flat.size:
+            compiled = CompiledTopology.load(payload)
+            if compiled.meta.get("spec_hash") != key:
+                raise ValueError("payload names a different spec")
+        except (OSError, ValueError, TopoError):
             self.corrupt += 1
             self.obs.cache_corrupt.inc()
             return None
         self.hits += 1
         self.obs.cache_hits.inc()
-        return indptr, flat
+        return compiled
 
     # -- store ---------------------------------------------------------------
 
-    def store(self, key: str, route_indptr: np.ndarray,
-              route_node: np.ndarray) -> str:
-        """Atomically persist the route arrays under *key*."""
+    def store(self, key: str, compiled: CompiledTopology) -> str:
+        """Atomically persist *compiled* under *key*."""
         payload = self.payload_path(key)
         record = {
             "version": ROUTE_CACHE_VERSION,
@@ -124,8 +121,7 @@ class RouteCache:
         # payload publishes before its sidecar so a reader that sees the
         # sidecar always finds a complete payload to checksum.
         with atomic_write(payload, suffix=".npz") as tmp_payload:
-            np.savez_compressed(tmp_payload, route_indptr=route_indptr,
-                                route_node=route_node)
+            compiled.save(str(tmp_payload))
             record["sha256"] = _file_sha256(str(tmp_payload))
         atomic_write_json(self.sidecar_path(key), record, sort_keys=True,
                           trailing_newline=False)

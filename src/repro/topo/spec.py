@@ -405,7 +405,12 @@ class TopoSpec:
     @property
     def tag(self) -> str:
         """Short world tag used to namespace generated site keys."""
-        return f"w{self.content_hash()[:6]}"
+        return self.tag_for(self.content_hash())
+
+    @staticmethod
+    def tag_for(spec_hash: str) -> str:
+        """The :attr:`tag` of the spec whose content hash is *spec_hash*."""
+        return f"w{spec_hash[:6]}"
 
     # -- serialization -------------------------------------------------------
 

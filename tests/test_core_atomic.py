@@ -129,14 +129,13 @@ def test_every_store_maps_a_non_object_file_to_its_outcome(tmp_path, blob):
     """Each JSON store reads through ``read_json_object`` and keeps its
     own documented outcome for a corrupt file — never a raw
     ``AttributeError`` or ``UnicodeDecodeError``."""
-    import numpy as np
-
     from repro.campaign.spec import CampaignCell
     from repro.campaign.store import ResultStore
     from repro.errors import CampaignError, ShardError
     from repro.lint.graph.cache import SummaryCache
     from repro.shard.runner import RUN_FILE, read_run_file
     from repro.shard.service import DirectoryFileTier, SharedDirectoryService
+    from repro.topo import compile_spec, preset_spec
     from repro.topo.routecache import RouteCache
 
     # campaign result store: raises CampaignError, from get and records
@@ -163,9 +162,9 @@ def test_every_store_maps_a_non_object_file_to_its_outcome(tmp_path, blob):
 
     # route cache: a corrupt sidecar is a counted miss, never an error
     cache = RouteCache(str(tmp_path / "routes"))
-    key = "ab" * 8
-    cache.store(key, np.array([0, 2], dtype=np.int64),
-                np.array([4, 5], dtype=np.int64))
+    spec = preset_spec("smoke", seed=0)
+    key = spec.content_hash()
+    cache.store(key, compile_spec(spec))
     atomic_write_bytes(cache.sidecar_path(key), blob)
     assert cache.load(key) is None
     assert (cache.hits, cache.misses, cache.corrupt) == (0, 0, 1)
