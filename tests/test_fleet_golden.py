@@ -29,7 +29,7 @@ import pytest
 from repro.broker import BrokerConfig, BrokerSweepSpec, FleetCell, run_fleet
 from repro.broker.directory import DirectoryEntry, DirectorySnapshot
 from repro.campaign.spec import CampaignCell
-from repro.net import NetworkEngine
+from repro.net import NetworkEngine, engine as engine_module
 from repro.net.topology import Link, Node, NodeKind, Topology
 from repro.sim import Simulator
 from repro.shard import ShardPlan
@@ -37,6 +37,7 @@ from repro.testbed.build import case_study_topo_spec
 from repro.topo import TopoSpec, generate, preset_spec
 from repro.units import mb, mbps, ms
 from repro.workloads import sample_sites
+from tests.maxmin_reference import reference_max_min_allocation
 
 pytestmark = [pytest.mark.broker, pytest.mark.topo]
 
@@ -48,10 +49,12 @@ BUSY_METRO_DIGEST = (
     "0b493bd27085465094b53539a62a0f1c185303ceb877d2133c8366b8e48a96d8")
 
 
+def _canonical(result) -> str:
+    return json.dumps(result.to_dict(), sort_keys=True, separators=(",", ":"))
+
+
 def _digest(result) -> str:
-    canonical = json.dumps(result.to_dict(), sort_keys=True,
-                           separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return hashlib.sha256(_canonical(result).encode()).hexdigest()
 
 
 def test_broker_fleet_on_case_study():
@@ -74,14 +77,31 @@ def test_direct_fleet_on_metro_preset():
     assert _digest(result) == DIRECT_METRO_DIGEST
 
 
-def test_busy_direct_fleet_on_metro_preset():
+def _busy_metro_fleet():
     spec = preset_spec("metro", seed=7)
     sites = sample_sites(generate(spec).populations, 30, seed=0)
-    result = run_fleet(0, sites, provider="gdrive", n_uploads_per_site=4,
-                       mean_interarrival_s=20.0, mean_size_mb=100.0,
-                       size_dist="fixed", mode="direct", topo=spec)
+    return run_fleet(0, sites, provider="gdrive", n_uploads_per_site=4,
+                     mean_interarrival_s=20.0, mean_size_mb=100.0,
+                     size_dist="fixed", mode="direct", topo=spec)
+
+
+def test_busy_direct_fleet_on_metro_preset():
+    result = _busy_metro_fleet()
     assert len(result.records) == 120
     assert _digest(result) == BUSY_METRO_DIGEST
+
+
+def test_busy_metro_fleet_matches_reference_allocator(monkeypatch):
+    """The engine's allocator is the live one, so the engine oracle
+    (``tests/engine_reference.py``) cannot see allocator drift.  Here the
+    whole fleet runs once more on the frozen original allocator, which
+    indexes ``capacities_bps[r]`` and so takes the engine's dense
+    capacity list as it is: every simulated number must match, bit for
+    bit."""
+    live = _canonical(_busy_metro_fleet())
+    monkeypatch.setattr(engine_module, "max_min_allocation",
+                        reference_max_min_allocation)
+    assert _canonical(_busy_metro_fleet()) == live
 
 
 def test_link_failure_mid_transfer_rates():

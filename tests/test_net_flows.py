@@ -216,6 +216,26 @@ def oracle_problems(draw):
     return flows, capacities, epsilon
 
 
+@st.composite
+def dense_oracle_problems(draw):
+    """``oracle_problems`` over int resource ids with a dense capacity
+    list: the form the engine hands the allocator."""
+    capacities = draw(st.lists(st.one_of(_magnitudes, st.just(inf)),
+                               min_size=1, max_size=6))
+    if draw(st.integers(0, 9)) == 0:
+        bad = draw(st.integers(0, len(capacities) - 1))
+        capacities[bad] = draw(st.sampled_from([0.0, -1.0]))
+    ids = st.integers(0, len(capacities) - 1)
+    flows = []
+    for j in range(draw(st.integers(0, 8))):
+        resources = tuple(draw(st.lists(ids, max_size=6)))
+        ceiling = draw(st.one_of(st.just(inf), _magnitudes) if resources
+                       else _magnitudes)
+        flows.append(FlowSpec(j, resources, ceiling))
+    epsilon = draw(st.sampled_from([1e-9, 0.0, 1e-3]))
+    return flows, capacities, epsilon
+
+
 class TestMatchesReference:
     @settings(max_examples=600, deadline=None)
     @given(oracle_problems())
@@ -262,6 +282,50 @@ class TestMatchesReference:
         alloc = max_min_allocation(flows, {"L": 263696906.12266728})
         assert alloc["z"] < alloc["y"] == alloc["x"]
         _assert_matches_reference(flows, {"L": 263696906.12266728})
+
+    def test_link_class_set_by_its_tightest_inner_link(self):
+        # every flow crosses all four links, so they form one link class
+        # whose tightest member is the third link (listed second by one
+        # flow); its capacity leaves float residue, so the numerical
+        # corner freezes the flows one at a time
+        tight = 263696906.12266728
+        caps = {"L1": 2 * tight, "L2": 3 * tight, "L3": tight, "L4": 1.5 * tight}
+        chain = ("L1", "L2", "L3", "L4")
+        flows = [FlowSpec("z", chain), FlowSpec("y", chain[::-1]),
+                 FlowSpec("x", chain)]
+        alloc = max_min_allocation(flows, caps)
+        assert alloc == max_min_allocation(
+            [FlowSpec(f.flow_id, ("L3",)) for f in flows], caps)
+        assert alloc["z"] < alloc["y"] == alloc["x"]
+        _assert_matches_reference(flows, caps)
+        capped = flows[:2] + [FlowSpec("c", chain, ceiling_bps=2e7)]
+        assert max_min_allocation(capped, caps)["c"] == 2e7
+        _assert_matches_reference(capped, caps)
+
+    def test_link_class_with_tied_capacities(self):
+        # A and C tie for tightest in the class {A, B, C}; g, crossing B
+        # and D, splits B into a class of its own
+        tight = 263696906.12266728
+        caps = {"A": tight, "B": 5e8, "C": tight, "D": tight}
+        flows = [FlowSpec(f"f{j}", ("A", "B", "C")) for j in range(3)]
+        _assert_matches_reference(flows, caps)
+        _assert_matches_reference(flows + [FlowSpec("g", ("D", "B"))], caps)
+        _assert_matches_reference(flows, {"A": inf, "B": inf, "C": 3.0})
+
+    def test_dense_capacity_list_matches_mapping(self):
+        flows = [FlowSpec("a", (2, 0)), FlowSpec("b", (0,)),
+                 FlowSpec("c", (1, 2), ceiling_bps=1.5)]
+        dense = [4.0, 9.0, 3.0, -1.0]  # an unused id may hold anything
+        alloc = max_min_allocation(flows, dense)
+        assert alloc == max_min_allocation(flows, dict(enumerate(dense[:3])))
+        assert alloc == {"a": 1.5, "b": 2.5, "c": 1.5}
+        _assert_matches_reference(flows, dense)
+
+    @settings(max_examples=300, deadline=None)
+    @given(dense_oracle_problems())
+    def test_dense_capacities_bit_identical_to_reference(self, problem):
+        flows, capacities, epsilon = problem
+        _assert_matches_reference(flows, capacities, epsilon)
 
     def test_errors_match(self):
         cases = [
