@@ -69,6 +69,8 @@ class TestSingleFlow:
             engine.start_transfer([], mb(1))
         with pytest.raises(TransferError):
             engine.start_transfer(dirs(topo, "h1", "mid"), mb(1), startup_deficit_bytes=-1)
+        with pytest.raises(TransferError):
+            engine.estimate_rate([])
 
     def test_result_fields(self):
         sim = Simulator()
