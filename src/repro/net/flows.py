@@ -16,9 +16,9 @@ Invariants (property-tested):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import inf
-from typing import Dict, Hashable, Iterable, List, Mapping, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Sequence, Tuple, Union
 
 __all__ = ["FlowSpec", "max_min_allocation"]
 
@@ -42,7 +42,7 @@ class FlowSpec:
 
 def max_min_allocation(
     flows: Iterable[FlowSpec],
-    capacities_bps: Mapping[ResourceId, float],
+    capacities_bps: Union[Mapping[ResourceId, float], Sequence[float]],
     epsilon: float = 1e-9,
 ) -> Dict[Hashable, float]:
     """Water-filling max-min fair rates for *flows* over shared resources.
@@ -54,7 +54,8 @@ def max_min_allocation(
         *capacities_bps* raises ``KeyError`` (construction bug upstream).
         A resource listed twice by one flow counts once.
     capacities_bps:
-        Capacity of each resource (bits/second).
+        Capacity of each resource (bits/second): a mapping, or a sequence
+        indexed by resource id when the ids are dense ints.
     epsilon:
         Numerical slack when deciding saturation.
 
@@ -63,47 +64,45 @@ def max_min_allocation(
     dict
         ``{flow_id: allocated rate}``, in the order of *flows*.
 
-    Each resource is hashed once per call and interned to a dense index;
-    the filling loop then runs on lists, keeping for every resource the
-    number of unfrozen flows crossing it and decrementing it as flows
-    freeze.  Every unfrozen flow has taken the same increments from
-    ``0.0``, so one shared ``level`` stands for all their rates, and the
-    smallest unfrozen ceiling is read from a list presorted by ceiling.
-    Float rounding is monotone (``a <= b`` implies ``fl(a - x) <=
-    fl(b - x)``), so the increment, the freeze tests and the corner
-    tie-break see exactly the values plain progressive filling computes
-    per flow: the rates are bit-identical to it.
+    Resources crossed by the same flows form one *link class*, filled as
+    its tightest member, which stays the tightest: all members take the
+    same ``headroom -= delta * active``, and float rounding is monotone.
+    One shared ``level`` is every unfrozen flow's rate, so the rates are
+    bit-identical to per-link, per-flow progressive filling (DESIGN.md).
     """
     flow_list = list(flows)
     ids = [f.flow_id for f in flow_list]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate flow ids in allocation request")
 
-    # Intern resources in first-appearance order; a resource repeated
-    # within one flow counts once.
-    index: Dict[ResourceId, int] = {}
-    headroom: List[float] = []
-    users: List[List[int]] = []  # resource -> flows crossing it
-    paths: List[List[int]] = [[] for _ in flow_list]  # flow -> its resources
+    # Hash each resource once, in first-appearance order.
+    users: Dict[ResourceId, List[int]] = {}  # resource -> flows crossing it
     for j, f in enumerate(flow_list):
-        path = paths[j]
         for r in f.resources:
-            i = index.get(r)
-            if i is None:
-                cap = capacities_bps[r]
-                if cap <= 0:
-                    raise ValueError(f"resource {r!r} has non-positive capacity")
-                i = index[r] = len(headroom)
-                headroom.append(float(cap))
-                users.append([])
-            elif users[i][-1] == j:
-                continue  # already counted for this flow
-            users[i].append(j)
-            path.append(i)
+            u = users.get(r)
+            if u is None:
+                users[r] = [j]
+            elif u[-1] != j:  # a repeat within one flow counts once
+                u.append(j)
+
+    # Group resources crossed by the same flows into one link class.
+    tightest: Dict[Tuple[int, ...], float] = {}  # class -> its headroom
+    for r, u in users.items():
+        cap = float(capacities_bps[r])
+        if cap <= 0:
+            raise ValueError(f"resource {r!r} has non-positive capacity")
+        if cap < tightest.setdefault(key := tuple(u), cap):
+            tightest[key] = cap
+    members = list(tightest)  # class -> flows crossing it
+    headroom = list(tightest.values())
+    paths: List[List[int]] = [[] for _ in flow_list]  # flow -> its classes
+    for c, u in enumerate(members):
+        for j in u:
+            paths[j].append(c)
 
     n = len(flow_list)
-    active = [len(u) for u in users]   # unfrozen flows per resource
-    live = list(range(len(headroom)))  # resources with an unfrozen flow
+    active = [len(u) for u in members]  # unfrozen flows per class
+    live = range(len(headroom))  # classes with an unfrozen flow
     ceilings = [f.ceiling_bps for f in flow_list]
     by_ceiling = sorted(range(n), key=ceilings.__getitem__)
     low = 0  # by_ceiling[:low] are all frozen
@@ -116,28 +115,31 @@ def max_min_allocation(
     while unfrozen:
         while frozen[by_ceiling[low]]:
             low += 1
-        # Largest uniform increment all unfrozen flows can take.  ``delta``
-        # stays the ``inf`` object itself unless some share is smaller.
-        delta = inf
-        for i in live:
-            share = headroom[i] / active[i]
-            if share < delta:
-                delta = share
-        share = ceilings[by_ceiling[low]] - level
-        if share < delta:
-            delta = share
-        if delta is inf:
+        # Largest uniform increment all unfrozen flows can take; classes
+        # whose flows have all frozen drop out of ``live`` on the way.
+        delta = ceilings[by_ceiling[low]] - level
+        still = []
+        for c in live:
+            a = active[c]
+            if a:
+                still.append(c)
+                share = headroom[c] / a
+                if share < delta:
+                    delta = share
+        live = still
+        if delta == inf:
             raise ValueError("unbounded allocation: flow with no resources and no ceiling")
-        delta = max(delta, 0.0)
+        if delta < 0.0:
+            delta = 0.0
         level += delta
 
-        # Freeze flows on saturated resources, then ceiling-bound flows
+        # Freeze flows on saturated classes, then ceiling-bound flows
         # (a prefix of the unfrozen ones in ceiling order).
         to_freeze = []
-        for i in live:
-            room = headroom[i] = headroom[i] - delta * active[i]
+        for c in live:
+            room = headroom[c] = headroom[c] - delta * active[c]
             if room <= epsilon:
-                for j in users[i]:
+                for j in members[c]:
                     if not frozen[j]:
                         frozen[j] = True
                         to_freeze.append(j)
@@ -151,19 +153,14 @@ def max_min_allocation(
             low += 1
         if not to_freeze:
             # Numerical corner: freeze the flow closest to its limit.
-            j = min(
-                (j for j in range(n) if not frozen[j]),
-                key=lambda j: min(
-                    [ceilings[j] - level] + [headroom[i] for i in paths[j]]
-                ),
-            )
+            j = min((j for j in range(n) if not frozen[j]), key=lambda j: min(
+                [ceilings[j] - level] + [headroom[c] for c in paths[j]]))
             frozen[j] = True
             to_freeze.append(j)
         for j in to_freeze:
             alloc[j] = level
-            for i in paths[j]:
-                active[i] -= 1
+            for c in paths[j]:
+                active[c] -= 1
         unfrozen -= len(to_freeze)
-        live = [i for i in live if active[i]]
 
     return dict(zip(ids, alloc))
