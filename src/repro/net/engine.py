@@ -1,8 +1,9 @@
 """Fluid flow-level transfer engine on the discrete-event kernel.
 
 Active transfers are fluid flows draining at their max-min fair share of
-the directed link capacities they cross (recomputed on every flow arrival
-or departure).  This is the standard flow-level abstraction for WAN
+the directed link capacities they cross (re-filled on every flow arrival
+or departure, for the flows the change can reach over saturated links).
+This is the standard flow-level abstraction for WAN
 capacity studies: it keeps per-transfer cost at "a handful of events"
 instead of per-packet, while preserving the bandwidth-sharing phenomena
 the paper measures (congested peerings, policed egresses, last-mile caps).
@@ -20,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import inf, isfinite, ulp
-from typing import Dict, Hashable, List, Optional, Sequence
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro import units
 from repro.errors import TransferError
@@ -36,6 +37,13 @@ __all__ = ["NetworkEngine", "Transfer", "TransferResult"]
 #: own completion event may under-credit progress by at most this many
 #: float-time grains times its byte rate (see ``_complete``).
 _DRIFT_ULPS = 64.0
+
+#: A direction is saturated when its users' rates sum to at least this
+#: share of its capacity.  The sum is taken in float, so a link filled
+#: exactly falls short by rounding (six flows of 1e9/6 bit/s sum to
+#: 999 999 999.9999999 on 1 Gbit/s); the allocator itself freezes a
+#: resource once its headroom is within 1e-9 bit/s.
+_SATURATED = 1.0 - 1e-9
 
 
 @dataclass(frozen=True)
@@ -103,6 +111,10 @@ class NetworkEngine:
         #: cached by id and refreshed by ``on_link_state_change``.
         self._direction_ids: Dict[LinkDirection, int] = {}
         self._capacities: List[float] = []
+        #: the flows crossing each interned direction, in start order
+        self._users: List[Dict[int, Transfer]] = []
+        #: flows the next rebalance re-fills from (see ``_refill``)
+        self._dirty: Dict[int, Transfer] = {}
         metrics = metrics if metrics is not None else MetricsRegistry(enabled=False)
         self.metrics = metrics
         self._m_started = metrics.counter(
@@ -138,6 +150,7 @@ class NetworkEngine:
         for direction, i in self._direction_ids.items():
             if direction.link_name == link_name:
                 self._capacities[i] = self._derive_capacity(direction)
+                self._dirty.update(self._users[i])
         self._reallocate()
 
     def _derive_capacity(self, direction: LinkDirection) -> float:
@@ -153,6 +166,7 @@ class NetworkEngine:
             cap = self._derive_capacity(direction)
             i = self._direction_ids[direction] = len(self._capacities)
             self._capacities.append(cap)
+            self._users.append({})
         return i
 
     def _interned_spec(self, flow_id: Hashable,
@@ -200,6 +214,9 @@ class NetworkEngine:
             _last_update=self.sim.now,
         )
         self._flows[flow_id] = transfer
+        for d in transfer._alloc_spec.resources:
+            self._users[d][flow_id] = transfer
+        self._dirty[flow_id] = transfer
         self.tracer.emit(
             self.sim.now, "net.engine", "flow_start",
             flow=flow_id, label=transfer.label, bytes=int(nbytes),
@@ -216,8 +233,7 @@ class NetworkEngine:
         if not directions and not isfinite(ceiling_bps):
             raise TransferError("transfer needs a path or a finite rate ceiling")
         phantom = self._interned_spec("__phantom__", directions, ceiling_bps)
-        specs = [t._alloc_spec for t in self._flows.values()] + [phantom]
-        return self._allocate(specs)["__phantom__"]
+        return self._refill((), phantom)[1]["__phantom__"]
 
     def cancel(self, transfer: Transfer) -> None:
         """Abort an in-flight transfer; its ``done`` signal fails."""
@@ -239,17 +255,85 @@ class NetworkEngine:
 
     def utilization_of(self, direction: LinkDirection) -> float:
         """Fraction of a link direction's capacity currently allocated."""
-        cap = self.capacity_of(direction)
-        used = sum(
-            t.rate_bps for t in self._flows.values() if direction in t.spec.resources
-        )
-        return used / cap
+        i = self._direction_id(direction)
+        used = sum(t.rate_bps for t in self._users[i].values())
+        return used / self._capacities[i]
 
     # -- internals -----------------------------------------------------------
 
     def _allocate(self, specs: List[FlowSpec]) -> Dict[Hashable, float]:
-        """Max-min rates for allocator *specs* (interned direction ids)."""
+        """Max-min rates for allocator *specs* (interned direction ids)
+        over the full capacities: the whole-fleet solve of the frozen
+        reference engine in ``tests/engine_reference.py``."""
         return max_min_allocation(specs, self._capacities)
+
+    def _refill(
+        self, seeds: Iterable[Transfer], phantom: Optional[FlowSpec] = None,
+    ) -> Tuple[List[Transfer], Dict[Hashable, float]]:
+        """Max-min rates for the flows a change at *seeds* can reach.
+
+        The component is every flow reachable from the seeds (and from
+        *phantom*, a flow not in flight) over saturated directions.  It is
+        re-filled against the capacity the flows outside it leave; if that
+        saturates a direction outside flows also cross, they join it and
+        it is re-filled again.  Flows outside keep their rates.  Returns
+        the component in start order and its new rates (the phantom's
+        too); no state is written.
+        """
+        users, caps = self._users, self._capacities
+        comp: Dict[int, Transfer] = {}
+        walked: Set[int] = set()  # directions of the component's flows
+        frontier: List[Transfer] = list(seeds)
+        extra: List[FlowSpec] = []
+
+        def walk(resources: Sequence[int]) -> None:
+            for d in resources:
+                if d not in walked:
+                    walked.add(d)
+                    u = users[d]
+                    if sum([t.rate_bps for t in u.values()]) >= caps[d] * _SATURATED:
+                        frontier.extend(u.values())
+
+        if phantom is not None:
+            extra.append(phantom)
+            walk(phantom.resources)
+        elif not frontier:
+            return [], {}
+        while True:
+            while frontier:
+                t = frontier.pop()
+                if t.flow_id not in comp:
+                    comp[t.flow_id] = t
+                    walk(t._alloc_spec.resources)
+            flows = [comp[i] for i in sorted(comp)]
+            specs = [t._alloc_spec for t in flows] + extra
+            residual: Dict[int, float] = {}
+            outside: Dict[int, Tuple[float, List[Transfer]]] = {}
+            for d in walked:
+                out = []
+                taken = 0.0
+                for i, t in users[d].items():
+                    if i not in comp:
+                        out.append(t)
+                        taken += t.rate_bps
+                residual[d] = caps[d] - taken
+                if out:
+                    outside[d] = (taken, out)
+            alloc = max_min_allocation(specs, residual)
+            if not outside:
+                return flows, alloc
+            # Merge: the outside users of a direction the re-fill saturated.
+            used = dict.fromkeys(outside, 0.0)
+            for s in specs:
+                rate = alloc[s.flow_id]
+                for d in s.resources:
+                    if d in used:
+                        used[d] += rate
+            for d, (taken, out) in outside.items():
+                if used[d] + taken >= caps[d] * _SATURATED:
+                    frontier.extend(out)
+            if not frontier:
+                return flows, alloc
 
     def _drain_all(self) -> None:
         """Credit progress to every flow up to the current instant."""
@@ -274,7 +358,6 @@ class NetworkEngine:
         if prof is None:
             self._do_reallocate()
         else:
-            prof.count("net.engine.flows_touched", len(self._flows))
             t0 = prof.begin()
             try:
                 self._do_reallocate()
@@ -282,11 +365,17 @@ class NetworkEngine:
                 prof.end_section("net.engine.reallocate", t0, self.sim.now)
 
     def _do_reallocate(self) -> None:
+        dirty, self._dirty = self._dirty, {}
+        flows, alloc = self._refill(dirty.values())
+        if not flows:
+            return
         self._m_reallocs.inc()
-        alloc = self._allocate([t._alloc_spec for t in self._flows.values()])
+        prof = self.sim.profiler
+        if prof is not None:
+            prof.count("net.engine.flows_touched", len(flows))
         _complete = self._complete
         sim_schedule = self.sim.schedule
-        for t in self._flows.values():
+        for t in flows:
             rate = alloc[t.flow_id]
             handle = t._completion_handle
             if handle is not None:
@@ -356,3 +445,12 @@ class NetworkEngine:
             transfer._completion_handle.cancel()
             transfer._completion_handle = None
         self._flows.pop(transfer.flow_id, None)
+        self._dirty.pop(transfer.flow_id, None)
+        # The flows sharing a direction this one saturated may now grow.
+        caps = self._capacities
+        for d in transfer._alloc_spec.resources:
+            users = self._users[d]
+            users.pop(transfer.flow_id, None)
+            load = transfer.rate_bps + sum(t.rate_bps for t in users.values())
+            if load >= caps[d] * _SATURATED:
+                self._dirty.update(users)
