@@ -21,7 +21,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import inf, isfinite, ulp
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (Dict, Hashable, Iterable, List, Mapping, Optional, Sequence,
+                    Set, Tuple)
 
 from repro import units
 from repro.errors import TransferError
@@ -96,15 +97,18 @@ class NetworkEngine:
         sim: Simulator,
         topology: Topology,
         tracer: Optional[Tracer] = None,
-        capacity_scale: Optional[Dict[str, float]] = None,
+        capacity_scale: Optional[Mapping[str, float]] = None,
         metrics: Optional[MetricsRegistry] = None,
     ):
         self.sim = sim
         self.topology = topology
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         #: optional per-link multiplicative capacity jitter for this run,
-        #: keyed by link name (applied to both directions).
-        self.capacity_scale = capacity_scale or {}
+        #: keyed by link name (applied to both directions).  Read only when
+        #: a direction is interned or its link changes state, so a mapping
+        #: may compute its values on first read; an empty-looking mapping
+        #: is still consulted.
+        self.capacity_scale = capacity_scale if capacity_scale is not None else {}
         self._flows: Dict[int, Transfer] = {}
         self._ids = itertools.count(1)
         #: every direction seen is interned to a dense id; capacities are

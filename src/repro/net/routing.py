@@ -73,6 +73,9 @@ class Router:
         #: store-and-forward / switching latency added per hop to RTT
         self.per_hop_latency_s = per_hop_latency_s
         self._path_cache: Dict[Tuple[str, str], ResolvedPath] = {}
+        #: precompiled hop lists not yet finalised, by (src, dst); see
+        #: :meth:`preload`
+        self._pending: Dict[Tuple[str, str], List[str]] = {}
         #: intra-AS shortest-path tree per source node, for the current
         #: link state (every IGP query from one node shares its tree)
         self._trees: Dict[str, IntraAsTree] = {}
@@ -85,32 +88,47 @@ class Router:
         cached = self._path_cache.get(key)
         if cached is not None:
             return cached
-        path = self._resolve_uncached(src, dst)
+        nodes = self._pending.pop(key, None)
+        if nodes is not None:
+            path = self._finalize(nodes)
+        else:
+            path = self._resolve_uncached(src, dst)
         self._path_cache[key] = path
         return path
 
     def invalidate(self) -> None:
-        """Drop caches after topology or policy changes."""
+        """Drop caches after topology or policy changes.
+
+        Precompiled hop lists not yet finalised are dropped too: they
+        were computed for the old topology.
+        """
         self._path_cache.clear()
+        self._pending.clear()
         self._trees.clear()
         self.bgp.invalidate()
 
     def preload(self, node_paths: Iterable[Sequence[str]]) -> int:
-        """Seed the path cache from precompiled node sequences.
+        """Store precompiled node sequences for :meth:`resolve` to use.
 
         Each sequence is the full hop list of one forwarding path (as
-        :class:`ResolvedPath.nodes` would report it).  The derived
-        attributes — RTT, loss, bottleneck, AS sequence, firewall caps —
-        are recomputed from the live topology, so a preloaded path is
-        bit-identical to what :meth:`resolve` would return for the same
-        hops.  Used by ``repro.topo`` to warm large compiled worlds so
-        the first transfer doesn't pay BGP resolution.  Returns the
-        number of paths installed.
+        :class:`ResolvedPath.nodes` would report it), stored under its
+        ``(src, dst)`` pair in place of any path cached for that pair.
+        :meth:`resolve` derives the attributes — RTT, loss, bottleneck,
+        AS sequence, firewall caps — from the live topology on the
+        pair's first lookup, so a preloaded path is bit-identical to one
+        finalised at load time, and a world pays only for the paths it
+        uses.  Used by ``repro.topo`` so the first transfer over a large
+        compiled world doesn't pay BGP resolution.  A sequence of fewer
+        than two hops raises :class:`RoutingError` here, not at first
+        use.  Returns the number of paths stored.
         """
         n = 0
         for nodes in node_paths:
-            path = self._finalize(list(nodes))
-            self._path_cache[(path.src, path.dst)] = path
+            if len(nodes) < 2:
+                raise RoutingError(f"path needs at least two hops, got {nodes!r}")
+            key = (nodes[0], nodes[-1])
+            self._path_cache.pop(key, None)
+            self._pending[key] = list(nodes)
             n += 1
         return n
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import zipfile
 import zlib
 from typing import Dict, List, Sequence, Tuple
@@ -213,98 +214,101 @@ class CompiledTopology:
 
     def route_name_paths(self) -> List[List[str]]:
         """Precompiled paths as node-name lists (for Router.preload)."""
-        names = self.arrays["node_name"]
-        indptr = self.arrays["route_indptr"]
-        flat = self.arrays["route_node"]
-        out = []
-        for i in range(len(indptr) - 1):
-            out.append([str(names[j]) for j in flat[indptr[i]:indptr[i + 1]]])
-        return out
+        names = self.arrays["node_name"].tolist()
+        indptr = self.arrays["route_indptr"].tolist()
+        flat = self.arrays["route_node"].tolist()
+        return [[names[j] for j in flat[indptr[i]:indptr[i + 1]]]
+                for i in range(len(indptr) - 1)]
 
     # -- back to records ------------------------------------------------------
 
     def to_graph(self) -> TopoGraph:
-        """Reconstruct the record form (lossless inverse of compile)."""
-        a = self.arrays
-        site_names = [str(s) for s in a["site_name"]]
-        node_names = [str(s) for s in a["node_name"]]
+        """Reconstruct the record form (lossless inverse of compile).
+
+        Each record array is converted to Python values once, with
+        ``tolist``, which gives the same ``str``/``int``/``float``/``bool``
+        values as converting its elements one at a time.  The adjacency
+        and route arrays hold no records and are skipped.
+        """
+        a = {key: self.arrays[key].tolist() for key in ARRAY_FIELDS
+             if not key.startswith(("adj_", "route_"))}
+        site_names = a["site_name"]
+        node_names = a["node_name"]
 
         sites = tuple(
-            SiteRec(site_names[i], str(a["site_kind"][i]),
-                    float(a["site_lat"][i]), float(a["site_lon"][i]),
-                    city=str(a["site_city"][i]), description=str(a["site_desc"][i]),
-                    planetlab=bool(a["site_planetlab"][i]))
-            for i in range(self.n_sites))
+            SiteRec(name, kind, lat, lon, city=city, description=desc,
+                    planetlab=planetlab)
+            for name, kind, lat, lon, city, desc, planetlab in zip(
+                site_names, a["site_kind"], a["site_lat"], a["site_lon"],
+                a["site_city"], a["site_desc"], a["site_planetlab"]))
 
-        def node(i: int) -> NodeRec:
-            fw = float(a["node_fw_bps"][i])
-            site_idx = int(a["node_site"][i])
-            return NodeRec(
-                node_names[i], str(a["node_kind"][i]), int(a["node_asn"][i]),
-                str(a["node_addr"][i]), hostname=str(a["node_hostname"][i]),
-                site=site_names[site_idx] if site_idx >= 0 else "",
-                responds=bool(a["node_responds"][i]),
-                firewall_per_flow_bps=None if np.isnan(fw) else fw)
-
-        nodes = tuple(node(i) for i in range(self.n_nodes))
+        nodes = tuple(
+            NodeRec(name, kind, asn, addr, hostname=hostname,
+                    site=site_names[site_idx] if site_idx >= 0 else "",
+                    responds=responds,
+                    firewall_per_flow_bps=None if math.isnan(fw) else fw)
+            for name, kind, asn, addr, hostname, site_idx, responds, fw in zip(
+                node_names, a["node_kind"], a["node_asn"], a["node_addr"],
+                a["node_hostname"], a["node_site"], a["node_responds"],
+                a["node_fw_bps"]))
 
         policers_by_link: Dict[int, List[Tuple[str, float]]] = {}
-        for j in range(a["policer_link"].shape[0]):
-            policers_by_link.setdefault(int(a["policer_link"][j]), []).append(
-                (node_names[int(a["policer_node"][j])], float(a["policer_bps"][j])))
+        for link, node, rate in zip(a["policer_link"], a["policer_node"],
+                                    a["policer_bps"]):
+            policers_by_link.setdefault(link, []).append((node_names[node], rate))
 
+        link_u = [node_names[i] for i in a["link_u"]]
+        link_v = [node_names[i] for i in a["link_v"]]
         links = tuple(
-            LinkRec(node_names[int(a["link_u"][i])], node_names[int(a["link_v"][i])],
-                    capacity_bps=float(a["link_cap_bps"][i]),
-                    delay_s=float(a["link_delay_s"][i]),
-                    loss=float(a["link_loss"][i]), igp_cost=float(a["link_igp"][i]),
-                    policers=tuple(policers_by_link.get(i, ())),
-                    jitter_sigma=float(a["link_jitter"][i]))
-            for i in range(self.n_links))
+            LinkRec(u, v, capacity_bps=cap, delay_s=delay, loss=loss,
+                    igp_cost=igp, policers=tuple(policers_by_link.get(i, ())),
+                    jitter_sigma=jitter)
+            for i, (u, v, cap, delay, loss, igp, jitter) in enumerate(zip(
+                link_u, link_v, a["link_cap_bps"], a["link_delay_s"],
+                a["link_loss"], a["link_igp"], a["link_jitter"])))
 
-        ases = tuple(
-            AsRec(int(a["as_number"][i]), str(a["as_name"][i]), str(a["as_tier"][i]))
-            for i in range(a["as_number"].shape[0]))
+        ases = tuple(AsRec(asn, name, tier) for asn, name, tier in zip(
+            a["as_number"], a["as_name"], a["as_tier"]))
 
         deny_indptr = a["deny_indptr"]
+        deny_dest = a["deny_dest"]
         export_deny = tuple(
-            (int(a["deny_announcer"][i]), int(a["deny_neighbor"][i]),
-             tuple(int(x) for x in a["deny_dest"][deny_indptr[i]:deny_indptr[i + 1]]))
-            for i in range(a["deny_announcer"].shape[0]))
+            (announcer, neighbor, tuple(deny_dest[deny_indptr[i]:deny_indptr[i + 1]]))
+            for i, (announcer, neighbor) in enumerate(zip(
+                a["deny_announcer"], a["deny_neighbor"])))
 
         pbr_indptr = a["pbr_indptr"]
-        link_names = [f"{node_names[int(a['link_u'][i])]}--"
-                      f"{node_names[int(a['link_v'][i])]}"
-                      for i in range(self.n_links)]
+        pbr_dest = a["pbr_dest"]
+        link_names = [f"{u}--{v}" for u, v in zip(link_u, link_v)]
         pbr_rules = tuple(
-            PbrRec(node_names[int(a["pbr_node"][i])],
-                   link_names[int(a["pbr_link"][i])],
-                   src_prefixes=tuple(
-                       p for p in str(a["pbr_prefixes"][i]).split(";") if p),
-                   dest_asns=tuple(
-                       int(x) for x in a["pbr_dest"][pbr_indptr[i]:pbr_indptr[i + 1]]),
-                   description=str(a["pbr_desc"][i]))
-            for i in range(a["pbr_node"].shape[0]))
+            PbrRec(node_names[node], link_names[link],
+                   src_prefixes=tuple(p for p in prefixes.split(";") if p),
+                   dest_asns=tuple(pbr_dest[pbr_indptr[i]:pbr_indptr[i + 1]]),
+                   description=desc)
+            for i, (node, link, prefixes, desc) in enumerate(zip(
+                a["pbr_node"], a["pbr_link"], a["pbr_prefixes"], a["pbr_desc"])))
 
         prov_indptr = a["prov_indptr"]
+        prov_frontend = a["prov_frontend"]
         providers = tuple(
-            ProviderRec(str(a["prov_name"][i]), str(a["prov_display"][i]),
-                        str(a["prov_api"][i]), str(a["prov_auth"][i]),
+            ProviderRec(name, display, api, auth,
                         frontends=tuple(
-                            node_names[int(x)]
-                            for x in a["prov_frontend"][prov_indptr[i]:prov_indptr[i + 1]]),
-                        protocol=str(a["prov_proto"][i]))
-            for i in range(a["prov_name"].shape[0]))
+                            node_names[x]
+                            for x in prov_frontend[prov_indptr[i]:prov_indptr[i + 1]]),
+                        protocol=proto)
+            for i, (name, display, api, auth, proto) in enumerate(zip(
+                a["prov_name"], a["prov_display"], a["prov_api"],
+                a["prov_auth"], a["prov_proto"])))
 
         return TopoGraph(
             sites=sites, ases=ases, nodes=nodes, links=links,
-            customers=tuple((int(x), int(y)) for x, y in a["rel_customers"]),
-            peerings=tuple((int(x), int(y)) for x, y in a["rel_peerings"]),
+            customers=tuple((x, y) for x, y in a["rel_customers"]),
+            peerings=tuple((x, y) for x, y in a["rel_peerings"]),
             export_deny=export_deny, pbr_rules=pbr_rules, providers=providers,
-            hosts=tuple((site_names[int(s)], node_names[int(n)])
+            hosts=tuple((site_names[s], node_names[n])
                         for s, n in zip(a["host_site"], a["host_node"])),
-            dtn_sites=tuple(site_names[int(s)] for s in a["dtn_site"]),
-            populations=tuple((site_names[int(s)], float(w))
+            dtn_sites=tuple(site_names[s] for s in a["dtn_site"]),
+            populations=tuple((site_names[s], w)
                               for s, w in zip(a["pop_site"], a["pop_weight"])),
         )
 

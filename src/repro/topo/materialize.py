@@ -15,9 +15,11 @@ Two halves:
 
 * :func:`materialize` — compiled → :class:`~repro.core.world.World`:
   rebuild the live objects in array order (order is semantic: IGP
-  tie-breaks follow adjacency insertion), seed the router's path cache
-  from the precompiled routes, wire providers/hosts/DTNs, and apply the
-  per-seed capacity jitter streams (``capjitter.<link>``).
+  tie-breaks follow adjacency insertion), hand the router the
+  precompiled routes, wire providers/hosts/DTNs, and attach the per-seed
+  capacity jitter streams (``capjitter.<link>``).  Routes are finalised
+  and jitter factors drawn on first use, so a world pays only for the
+  paths and links its run touches.
 
 The calibrated case study (:mod:`repro.testbed.build`) and user-built
 worlds (:class:`repro.testbed.WorldBuilder`) flow through the same two
@@ -28,7 +30,7 @@ user scenarios and generated 10^3–10^4-site worlds.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 from repro.cloud.dropbox import make_dropbox_protocol
 from repro.cloud.gdrive import make_gdrive_protocol
@@ -235,6 +237,34 @@ def compile_spec(spec: TopoSpec,
     return compiled
 
 
+class _CapacityJitter(Mapping[str, float]):
+    """Per-link capacity jitter factors, drawn on first read.
+
+    The factor for a link comes from its own ``capjitter.<link>`` stream,
+    which is seeded only from (seed, stream name) and drawn once, so the
+    order links are read in cannot change any value.  Links the compiled
+    graph does not hold (added to a world later) have no entry.
+    """
+
+    def __init__(self, rng: RngRegistry, sigmas: Dict[str, float]):
+        self._rng = rng
+        self._sigmas = sigmas
+        self._drawn: Dict[str, float] = {}
+
+    def __getitem__(self, name: str) -> float:
+        factor = self._drawn.get(name)
+        if factor is None:
+            factor = self._drawn[name] = self._rng.lognormal_factor(
+                f"capjitter.{name}", self._sigmas[name])
+        return factor
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._sigmas)
+
+    def __len__(self) -> int:
+        return len(self._sigmas)
+
+
 def materialize(compiled: CompiledTopology,
                 seed: int = 0,
                 trace: bool = False,
@@ -246,7 +276,11 @@ def materialize(compiled: CompiledTopology,
 
     Objects are created in record order and each link's capacity is
     scaled by its own ``capjitter.<link>`` stream, so the same compiled
-    topology and seed always give a byte-identical world.
+    topology and seed always give a byte-identical world.  Precompiled
+    routes are finalised on first :meth:`~repro.net.routing.Router.resolve`
+    and jitter factors drawn on first read; both depend only on the live
+    topology and (seed, link), so the world is the one an eager build
+    would give.
     """
     obs = instrumentation if instrumentation is not None else TopoInstrumentation()
     if isinstance(metrics, MetricsRegistry):
@@ -269,11 +303,8 @@ def materialize(compiled: CompiledTopology,
         router.preload(compiled.route_name_paths())
         dns = DnsResolver(topo)
 
-        capacity_scale: Dict[str, float] = {}
-        for link in graph.links:
-            capacity_scale[link.name] = rng.lognormal_factor(
-                f"capjitter.{link.name}", link.jitter_sigma)
-
+        capacity_scale = _CapacityJitter(
+            rng, {link.name: link.jitter_sigma for link in graph.links})
         engine = NetworkEngine(sim, topo, tracer=tracer,
                                capacity_scale=capacity_scale, metrics=registry)
         world = World(

@@ -35,19 +35,23 @@ def test_repro_tree_is_clean_modulo_baseline(capsys):
     assert code == 0, f"repro lint found new violations:\n{out}"
 
 
-def test_repro_tree_has_no_stale_baseline_entries():
-    report = LintEngine().lint_paths([default_scan_root()])
-    _, _, stale = Baseline.load(BASELINE_PATH).filter(report.findings)
+@pytest.fixture(scope="module")
+def tree_report():
+    """One per-file lint of the whole tree, shared by the tests below."""
+    return LintEngine().lint_paths([default_scan_root()])
+
+
+def test_repro_tree_has_no_stale_baseline_entries(tree_report):
+    _, _, stale = Baseline.load(BASELINE_PATH).filter(tree_report.findings)
     assert stale == [], (
         "baseline entries whose violations are fixed should be removed: "
         + ", ".join(f"{e.file} [{e.rule}]" for e in stale))
 
 
-def test_repro_tree_error_findings_are_fully_grandfathered():
+def test_repro_tree_error_findings_are_fully_grandfathered(tree_report):
     """Every error in the tree must be explicitly forgiven by the baseline
     — the gate only ever lets recorded, justified debt through."""
-    report = LintEngine().lint_paths([default_scan_root()])
-    kept, _, _ = Baseline.load(BASELINE_PATH).filter(report.findings)
+    kept, _, _ = Baseline.load(BASELINE_PATH).filter(tree_report.findings)
     new_errors = [f for f in kept if f.severity is Severity.ERROR]
     assert new_errors == [], "\n".join(f.render() for f in new_errors)
 

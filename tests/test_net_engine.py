@@ -2,6 +2,7 @@
 tolerance oracles against a full max-min re-fill and against the original
 reschedule-everything engine."""
 
+from collections.abc import Mapping
 from math import inf
 
 import pytest
@@ -159,6 +160,30 @@ class TestSharing:
         sim = Simulator()
         topo = line_topology()
         engine = NetworkEngine(sim, topo, capacity_scale={"mid--h2": 0.5})
+        t = engine.start_transfer(dirs(topo, "h1", "mid", "h2"), mb(10))
+        sim.run()
+        assert t.done.value.duration_s == pytest.approx(16.0)
+
+    def test_capacity_scale_that_looks_empty_is_still_consulted(self):
+        class DrawnOnRead(Mapping):
+            """Reports no entries, like a lazy mapping before any read."""
+
+            def __getitem__(self, name):
+                if name == "mid--h2":
+                    return 0.5
+                raise KeyError(name)
+
+            def __iter__(self):
+                return iter(())
+
+            def __len__(self):
+                return 0
+
+        sim = Simulator()
+        topo = line_topology()
+        scale = DrawnOnRead()
+        assert not scale
+        engine = NetworkEngine(sim, topo, capacity_scale=scale)
         t = engine.start_transfer(dirs(topo, "h1", "mid", "h2"), mb(10))
         sim.run()
         assert t.done.value.duration_s == pytest.approx(16.0)

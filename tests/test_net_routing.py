@@ -75,6 +75,13 @@ class TestResolution:
         p2 = router.resolve("hostA", "server")
         assert p2 is not p1 and p2.nodes == p1.nodes
 
+    def test_preload_rejects_a_path_of_one_hop_at_load(self, mini_world):
+        topo, asg, policy, _ = mini_world
+        router = Router(topo, asg, policy)
+        with pytest.raises(RoutingError, match="at least two hops"):
+            router.preload([["hostB", "gwB", "r2", "cloud-edge", "server"],
+                            ["hostB"]])
+
     def test_describe(self, mini_world):
         _, _, _, router = mini_world
         assert "hostA -> gwA" in router.resolve("hostA", "server").describe()
