@@ -9,6 +9,13 @@ keeps those two methods verbatim as the oracle the property test in
 flows complete or are cancelled, at end times equal to within float
 rounding.  It is test-only: nothing under ``src/`` imports it.  Do not
 edit or optimise it — its value is that it is the old code.
+
+The original engine also credited every flow's progress on every start,
+cancel, link-state change and completion; the live engine credits a flow
+only when its rate changes and when its completion fires.  The original
+``_drain_all``, ``_reallocate`` and ``cancel``, which the two methods
+above relied on, are kept here verbatim too.  This class keeps no running
+direction loads, so its ``estimate_rate`` is not part of the oracle.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from __future__ import annotations
 from math import ulp
 
 from repro import units
+from repro.errors import TransferError
 from repro.net.engine import _DRIFT_ULPS, NetworkEngine, Transfer, TransferResult
 
 
@@ -77,3 +85,29 @@ class ReferenceNetworkEngine(NetworkEngine):
         self._m_throughput.observe(result.mean_rate_bps)
         transfer.done.trigger(result)
         self._reallocate()
+
+    def cancel(self, transfer: Transfer) -> None:
+        """Abort an in-flight transfer; its ``done`` signal fails."""
+        if transfer.finished or transfer.flow_id not in self._flows:
+            return
+        self._drain_all()
+        self._remove(transfer)
+        self._m_cancelled.inc()
+        self._m_active.set(len(self._flows))
+        transfer.done.fail(TransferError(f"transfer {transfer.label} cancelled"))
+        self._rebalance()
+
+    def _drain_all(self) -> None:
+        """Credit progress to every flow up to the current instant."""
+        now = self.sim.now
+        for t in self._flows.values():
+            elapsed = now - t._last_update
+            if elapsed > 0:
+                t.remaining_bytes = max(
+                    0.0, t.remaining_bytes - units.bytes_per_sec(t.rate_bps) * elapsed
+                )
+            t._last_update = now
+
+    def _reallocate(self) -> None:
+        self._drain_all()
+        self._rebalance()

@@ -30,6 +30,17 @@ route, count or fate moved, and the direct metro digest did not move.
 The full re-fill, run on the frozen original allocator, still gives the
 old digests byte for byte (``FULL_REFILL_*``), and the live fleets must
 match it to within 1e-12 relative on every float.
+
+They were re-pinned once more when the engine stopped crediting every
+flow's progress on every event and began crediting a flow only when its
+rate changes and when its completion fires: one long step in place of
+several short ones rounds differently.  8 floats of the busy metro fleet
+moved, by at most 4.1e-14 relative, and 2 of the broker fleet, by at
+most 2.2e-16 (the old digests were ``ad5bdc63…`` and ``bb7dfc0b…``); no
+route, count or fate moved, and the direct metro digest did not move.
+The full re-fill credits every flow before each rebalance and completion
+again, with the original ``_drain_all`` kept in
+``tests/engine_reference.py``, so ``FULL_REFILL_*`` did not move.
 """
 
 import hashlib
@@ -48,18 +59,20 @@ from repro.testbed.build import case_study_topo_spec
 from repro.topo import TopoSpec, generate, preset_spec
 from repro.units import mb, mbps, ms
 from repro.workloads import sample_sites
+from tests.engine_reference import ReferenceNetworkEngine
 from tests.maxmin_reference import reference_max_min_allocation
 
 pytestmark = [pytest.mark.broker, pytest.mark.topo]
 
 BROKER_CASE_STUDY_DIGEST = (
-    "bb7dfc0b40abbadbf5142a74c1502842ed4aaf5cd8e5b121dd4beb17a8206828")
+    "0c44dfc71bd82a31efaed9eade99d8a540e1f4c951bcdf40de344b012782ea81")
 DIRECT_METRO_DIGEST = (
     "d8ae441d9c01da1d7a8bc2283de39dd45424e6ea02cc792af72f4b59a0f9237b")
 BUSY_METRO_DIGEST = (
-    "ad5bdc6339a9d89be6252e4803beeff2de437388fd2de5ec594c0182f69d31e8")
+    "828802ff84397d39e024be2b22acab47d06b0a224f1e9233255217270ad387b1")
 #: the same two fleets when every rebalance and estimate re-fills every
-#: flow in flight (see ``_full_refill``)
+#: flow in flight and every flow's progress is credited eagerly (see
+#: ``_full_refill``)
 FULL_REFILL_BROKER_CASE_STUDY_DIGEST = (
     "0db262e2a9787a8b7f75f3663e86db831526b2fcd4c39888b50966cca1b00ad7")
 FULL_REFILL_BUSY_METRO_DIGEST = (
@@ -114,15 +127,31 @@ def test_busy_direct_fleet_on_metro_preset():
 
 def _full_refill(monkeypatch):
     """Make every rebalance and estimate re-fill every flow in flight
-    against the raw capacities, on the frozen original allocator: the
-    engine as it was before it re-filled only the saturated component a
-    change reaches."""
+    against the raw capacities, on the frozen original allocator, and
+    credit every flow's progress before each rebalance and completion
+    (the original ``_drain_all``): the engine as it was before it re-filled
+    only the saturated component a change reaches."""
     refill = NetworkEngine._refill
     monkeypatch.setattr(
         NetworkEngine, "_refill", lambda self, seeds, phantom=None: refill(
             self, list(self._flows.values()), phantom))
     monkeypatch.setattr(engine_module, "max_min_allocation",
                         reference_max_min_allocation)
+    drain_all = ReferenceNetworkEngine._drain_all
+    rebalance, complete = NetworkEngine._rebalance, NetworkEngine._complete
+
+    def drained_rebalance(self):
+        drain_all(self)
+        rebalance(self)
+
+    def drained_complete(self, transfer):
+        # the original drained only a completion it went on to handle
+        if not transfer.finished and transfer.flow_id in self._flows:
+            drain_all(self)
+        complete(self, transfer)
+
+    monkeypatch.setattr(NetworkEngine, "_rebalance", drained_rebalance)
+    monkeypatch.setattr(NetworkEngine, "_complete", drained_complete)
 
 
 def test_busy_metro_fleet_matches_reference_allocator(monkeypatch):
