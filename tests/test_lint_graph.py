@@ -56,8 +56,17 @@ def cold_result():
     return ProjectAnalyzer(cache_dir=None).run([default_scan_root()])
 
 
-def test_graph_gate_src_repro_is_clean(tmp_path):
-    code, out = _graph_lint(tmp_path / "cache")
+@pytest.fixture(scope="module")
+def graph_cache(tmp_path_factory):
+    """One cache directory shared by the gate and the SARIF run: whichever
+    runs first fills it, and the other reads it warm (the cache never
+    changes a report; ``test_graph_run_byte_deterministic_and_warm_speedup``
+    checks that on fresh directories of its own)."""
+    return tmp_path_factory.mktemp("graph-lint") / "cache"
+
+
+def test_graph_gate_src_repro_is_clean(graph_cache):
+    code, out = _graph_lint(graph_cache)
     assert code == 0, f"repro lint --graph found new violations:\n{out}"
 
 
@@ -134,8 +143,8 @@ def test_linter_passes_its_own_determinism_rules():
         f.render() for f in report.findings)
 
 
-def test_sarif_output_is_valid_and_lists_graph_rules(tmp_path):
-    code, out = _graph_lint(tmp_path / "cache", fmt="sarif")
+def test_sarif_output_is_valid_and_lists_graph_rules(graph_cache):
+    code, out = _graph_lint(graph_cache, fmt="sarif")
     assert code == 0
     log = json.loads(out)
     assert log["version"] == "2.1.0"
