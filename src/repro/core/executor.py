@@ -242,13 +242,13 @@ class PlanExecutor:
         # hop 1 path (rsync-style stream) and hop 2 path (API)
         in_path = world.router.resolve(client_host, dtn.host)
         in_params = TcpPathParams(rtt_s=in_path.rtt_s, loss=in_path.loss)
-        in_dirs = world.router.path_directions(in_path)
+        in_dirs = world.engine.intern(world.router.path_directions(in_path))
         in_ceiling = min(world.tcp.rate_ceiling_bps(in_params), in_path.per_flow_cap_bps)
 
         frontend = provider.frontend_for(world.dns, dtn.host)
         out_path = world.router.resolve(dtn.host, frontend)
         out_params = TcpPathParams(rtt_s=out_path.rtt_s, loss=out_path.loss)
-        out_dirs = world.router.path_directions(out_path)
+        out_dirs = world.engine.intern(world.router.path_directions(out_path))
         out_ceiling = min(world.tcp.rate_ceiling_bps(out_params), out_path.per_flow_cap_bps)
 
         jitter_rng = world.rng.stream("api.jitter")

@@ -22,7 +22,7 @@ from repro.net.address import PrefixAllocator, parse_address, parse_prefix
 from repro.net.asn import ASGraph, AutonomousSystem, Relationship
 from repro.net.bgp import BgpRouteComputer, BgpRoute, RouteType
 from repro.net.dns import DnsResolver
-from repro.net.engine import NetworkEngine, Transfer
+from repro.net.engine import InternedPath, NetworkEngine, Transfer
 from repro.net.flows import FlowSpec, max_min_allocation
 from repro.net.packetsim import AimdFlow, BottleneckSim, simulate_shares
 from repro.net.policer import TokenBucket
@@ -48,6 +48,7 @@ __all__ = [
     "BgpRouteComputer",
     "DnsResolver",
     "FlowSpec",
+    "InternedPath",
     "Link",
     "LinkDirection",
     "NetworkEngine",

@@ -81,6 +81,7 @@ class PoissonSource:
 
     def run(self, sim: Simulator, engine: NetworkEngine) -> Process:
         """Spawn the generator process (runs until the simulation ends)."""
+        path = engine.intern(self.resources)
 
         def _gen():
             if self.arrival_rate_hz <= 0:
@@ -90,7 +91,7 @@ class PoissonSource:
             i = 0
             while True:
                 engine.start_transfer(
-                    self.resources,
+                    path,
                     max(1.0, self._next_size()),
                     ceiling_bps=self.per_flow_ceiling_bps,
                     label=f"{self.label}.p{i}",
@@ -140,6 +141,8 @@ class OnOffSource:
         return self.mean_on_s / (self.mean_on_s + self.mean_off_s)
 
     def run(self, sim: Simulator, engine: NetworkEngine) -> Process:
+        path = engine.intern(self.resources)
+
         def _gen():
             # Random initial phase: start OFF part of the time.
             if self.rng.random() < self.duty_cycle:
@@ -152,7 +155,7 @@ class OnOffSource:
                 burst_bytes = units.bytes_per_sec(self.rate_bps) * on_for
                 flows = [
                     engine.start_transfer(
-                        self.resources,
+                        path,
                         max(1.0, burst_bytes),
                         ceiling_bps=self.rate_bps,
                         label=f"{self.label}.on{i}.f{j}",

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from math import inf, isfinite, ulp
 from typing import (Dict, Hashable, Iterable, List, Mapping, Optional, Sequence,
-                    Set, Tuple)
+                    Set, Tuple, Union)
 
 from repro import units
 from repro.errors import TransferError
@@ -32,7 +32,7 @@ from repro.obs.metrics import DURATION_BUCKETS, RATE_BUCKETS, MetricsRegistry
 from repro.sim.kernel import Signal, Simulator
 from repro.sim.trace import Tracer
 
-__all__ = ["NetworkEngine", "Transfer", "TransferResult"]
+__all__ = ["InternedPath", "NetworkEngine", "Transfer", "TransferResult"]
 
 #: Completion-event drift allowance, in ulps of the sim clock: a flow's
 #: own completion event may under-credit progress by at most this many
@@ -68,13 +68,31 @@ class TransferResult:
         return units.throughput_bps(self.nbytes, self.duration_s)
 
 
+@dataclass(frozen=True)
+class InternedPath:
+    """A path interned by one engine (see :meth:`NetworkEngine.intern`).
+
+    Valid for the engine's lifetime: ids never change, and a link-state
+    change refreshes the capacities they index in place.
+    """
+
+    directions: Tuple[LinkDirection, ...]
+    #: ``directions`` as the engine's interned ids, each listed once (a
+    #: flow's rate counts once in a direction's load)
+    resources: Tuple[int, ...]
+    engine: "NetworkEngine"
+
+
+#: a path as ``start_transfer`` and ``estimate_rate`` take it
+Directions = Union[InternedPath, Sequence[LinkDirection]]
+
+
 @dataclass
 class Transfer:
     """Handle for an in-flight flow."""
 
     flow_id: int
     label: str
-    spec: FlowSpec
     payload_bytes: float
     wire_bytes: float  # payload + slow-start deficit
     start_time: float
@@ -83,8 +101,8 @@ class Transfer:
     #: only when the rate changes and when the flow's completion fires
     remaining_bytes: float = 0.0
     rate_bps: float = 0.0
-    #: ``spec`` with each direction replaced by the engine's interned id:
-    #: what the allocator sees, so no direction is re-hashed per pass.
+    #: the flow over the engine's interned direction ids: what the
+    #: allocator sees, so no direction is re-hashed per pass.
     _alloc_spec: Optional[FlowSpec] = None
     _last_update: float = 0.0
     _completion_handle: Optional[object] = None
@@ -156,6 +174,10 @@ class NetworkEngine:
         self._m_throughput = metrics.histogram(
             "repro_engine_flow_throughput_bps", "Per-flow mean throughput",
             buckets=RATE_BUCKETS)
+        #: the instruments copied the registry's flag when they were
+        #: created, so with it off every metric call is skipped (the
+        #: tracer may be switched on later: its flag is read live)
+        self._metrics_on = metrics.enabled
 
     # -- capacities -----------------------------------------------------------
 
@@ -198,19 +220,24 @@ class NetworkEngine:
             self._load.append(0.0)
         return i
 
-    def _interned_spec(self, flow_id: Hashable,
-                       directions: Sequence[LinkDirection],
-                       ceiling_bps: float) -> FlowSpec:
-        """*directions* as an allocator flow over interned direction ids,
-        each listed once (a flow's rate counts once in a direction's load)."""
-        return FlowSpec(flow_id, tuple(dict.fromkeys(
-            self._direction_id(d) for d in directions)), ceiling_bps)
-
     # -- public API -------------------------------------------------------------
+
+    def intern(self, directions: Directions) -> InternedPath:
+        """*directions* interned once, for any number of flows on the path:
+        ``start_transfer`` and ``estimate_rate`` take the handle without
+        hashing a direction again.  A path this engine interned is
+        returned as it is; one another engine interned is refused."""
+        if type(directions) is InternedPath:
+            if directions.engine is not self:
+                raise TransferError("path was interned by another engine")
+            return directions
+        directions = tuple(directions)
+        return InternedPath(directions, tuple(dict.fromkeys(
+            self._direction_id(d) for d in directions)), self)
 
     def start_transfer(
         self,
-        directions: Sequence[LinkDirection],
+        directions: Directions,
         nbytes: float,
         ceiling_bps: float = inf,
         label: str = "",
@@ -219,50 +246,55 @@ class NetworkEngine:
         """Begin a fluid transfer; returns a handle whose ``done`` signal
         fires with a :class:`TransferResult`.
 
-        ``startup_deficit_bytes`` adds wire bytes representing the
-        slow-start ramp deficit (computed by the caller's TCP model from
-        the estimated initial rate).
+        *directions* is a path from :meth:`intern` or a sequence of link
+        directions, interned here.  ``startup_deficit_bytes`` adds wire
+        bytes representing the slow-start ramp deficit (computed by the
+        caller's TCP model from the estimated initial rate).
         """
         if nbytes <= 0:
             raise TransferError(f"transfer size must be positive, got {nbytes}")
         if startup_deficit_bytes < 0:
             raise TransferError("startup deficit cannot be negative")
-        if not directions and not isfinite(ceiling_bps):
+        path = self.intern(directions)
+        if not path.resources and not isfinite(ceiling_bps):
             raise TransferError("transfer needs a path or a finite rate ceiling")
         flow_id = next(self._ids)
+        now = self.sim.now
         wire = nbytes + startup_deficit_bytes
         transfer = Transfer(
             flow_id=flow_id,
             label=label or f"flow-{flow_id}",
-            spec=FlowSpec(flow_id, tuple(directions), ceiling_bps),
             payload_bytes=nbytes,
             wire_bytes=wire,
-            start_time=self.sim.now,
+            start_time=now,
             done=Signal(self.sim, name=f"transfer-{flow_id}"),
             remaining_bytes=wire,
-            _alloc_spec=self._interned_spec(flow_id, directions, ceiling_bps),
-            _last_update=self.sim.now,
+            _alloc_spec=FlowSpec(flow_id, path.resources, ceiling_bps),
+            _last_update=now,
         )
         self._flows[flow_id] = transfer
-        for d in transfer._alloc_spec.resources:
-            self._users[d][flow_id] = transfer
+        users = self._users
+        for d in path.resources:
+            users[d][flow_id] = transfer
         self._dirty[flow_id] = transfer
-        self.tracer.emit(
-            self.sim.now, "net.engine", "flow_start",
-            flow=flow_id, label=transfer.label, bytes=int(nbytes),
-        )
-        self._m_started.inc()
-        self._m_active.set(len(self._flows))
+        if self.tracer.enabled:
+            self.tracer.emit(
+                now, "net.engine", "flow_start",
+                flow=flow_id, label=transfer.label, bytes=int(nbytes),
+            )
+        if self._metrics_on:
+            self._m_started.inc()
+            self._m_active.set(len(self._flows))
         self._reallocate()
         return transfer
 
-    def estimate_rate(
-        self, directions: Sequence[LinkDirection], ceiling_bps: float = inf
-    ) -> float:
-        """Rate a new flow would get right now (phantom allocation)."""
-        if not directions and not isfinite(ceiling_bps):
+    def estimate_rate(self, directions: Directions, ceiling_bps: float = inf) -> float:
+        """Rate a new flow would get right now (phantom allocation).
+        *directions* is as for :meth:`start_transfer`."""
+        path = self.intern(directions)
+        if not path.resources and not isfinite(ceiling_bps):
             raise TransferError("transfer needs a path or a finite rate ceiling")
-        phantom = self._interned_spec("__phantom__", directions, ceiling_bps)
+        phantom = FlowSpec("__phantom__", path.resources, ceiling_bps)
         return self._refill((), phantom)[1]["__phantom__"]
 
     def cancel(self, transfer: Transfer) -> None:
@@ -270,8 +302,9 @@ class NetworkEngine:
         if transfer.finished or transfer.flow_id not in self._flows:
             return
         self._remove(transfer)
-        self._m_cancelled.inc()
-        self._m_active.set(len(self._flows))
+        if self._metrics_on:
+            self._m_cancelled.inc()
+            self._m_active.set(len(self._flows))
         transfer.done.fail(TransferError(f"transfer {transfer.label} cancelled"))
         self._rebalance()
 
@@ -335,33 +368,52 @@ class NetworkEngine:
                     walk(t._alloc_spec.resources)
             flows = [comp[i] for i in sorted(comp)]
             specs = [t._alloc_spec for t in flows] + extra
-            residual: Dict[int, float] = {}
-            outside: Dict[int, Tuple[float, List[Transfer]]] = {}
-            for d in walked:
-                out = []
-                taken = 0.0
-                for i, t in users[d].items():
-                    if i not in comp:
-                        out.append(t)
-                        taken += t.rate_bps
-                residual[d] = caps[d] - taken
-                if out:
-                    outside[d] = (taken, out)
+            residual, outside = self._residuals(flows, walked)
             alloc = max_min_allocation(specs, residual)
             if not outside:
                 return flows, alloc
-            # Merge: the outside users of a direction the re-fill saturated.
+            # Merge: the outside users of a direction the re-fill saturated
+            # (listed only here: the residuals take their load whole).
             used = dict.fromkeys(outside, 0.0)
             for s in specs:
                 rate = alloc[s.flow_id]
                 for d in s.resources:
                     if d in used:
                         used[d] += rate
-            for d, (taken, out) in outside.items():
+            for d, taken in outside.items():
                 if used[d] + taken >= caps[d] * _SATURATED:
-                    frontier.extend(out)
+                    frontier.extend(t for i, t in users[d].items()
+                                    if i not in comp)
             if not frontier:
                 return flows, alloc
+
+    def _residuals(
+        self, flows: List[Transfer], walked: Iterable[int],
+    ) -> Tuple[Dict[int, float], Dict[int, float]]:
+        """The capacity each *walked* direction leaves the component
+        *flows*, and the load its outside users take where it has any.
+
+        A direction whose users are all in the component keeps its full
+        capacity exactly; any other takes its running load less the
+        component's own rates on it, so no outside user is visited.
+        """
+        users, caps, load = self._users, self._capacities, self._load
+        inside: Dict[int, int] = {}
+        own: Dict[int, float] = {}
+        for t in flows:
+            rate = t.rate_bps
+            for d in t._alloc_spec.resources:
+                inside[d] = inside.get(d, 0) + 1
+                own[d] = own.get(d, 0.0) + rate
+        residual: Dict[int, float] = {}
+        outside: Dict[int, float] = {}
+        for d in walked:
+            if inside.get(d, 0) == len(users[d]):
+                residual[d] = caps[d]
+            else:
+                taken = outside[d] = load[d] - own.get(d, 0.0)
+                residual[d] = caps[d] - taken
+        return residual, outside
 
     def _reallocate(self) -> None:
         """Re-share bandwidth after a start or a link-state change (the
@@ -388,7 +440,8 @@ class NetworkEngine:
         flows, alloc = self._refill(dirty.values())
         if not flows:
             return
-        self._m_reallocs.inc()
+        if self._metrics_on:
+            self._m_reallocs.inc()
         prof = self.sim.profiler
         if prof is not None:
             prof.count("net.engine.flows_touched", len(flows))
@@ -450,19 +503,21 @@ class NetworkEngine:
             start_time=transfer.start_time,
             end_time=self.sim.now,
         )
-        self.tracer.emit(
-            self.sim.now, "net.engine", "flow_end",
-            flow=transfer.flow_id, label=transfer.label,
-            duration=round(result.duration_s, 6),
-        )
-        self._m_completed.inc()
-        self._m_payload.inc(transfer.payload_bytes)
+        if self.tracer.enabled:
+            self.tracer.emit(
+                self.sim.now, "net.engine", "flow_end",
+                flow=transfer.flow_id, label=transfer.label,
+                duration=round(result.duration_s, 6),
+            )
         prof = self.sim.profiler
         if prof is not None:
             prof.count_bytes("net.engine.payload", transfer.payload_bytes)
-        self._m_active.set(len(self._flows))
-        self._m_duration.observe(result.duration_s)
-        self._m_throughput.observe(result.mean_rate_bps)
+        if self._metrics_on:
+            self._m_completed.inc()
+            self._m_payload.inc(transfer.payload_bytes)
+            self._m_active.set(len(self._flows))
+            self._m_duration.observe(result.duration_s)
+            self._m_throughput.observe(result.mean_rate_bps)
         transfer.done.trigger(result)
         self._rebalance()
 

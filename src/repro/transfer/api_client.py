@@ -205,7 +205,7 @@ class CloudClient:
             )
             events.append((self.sim.now, proto.init_request_name))
 
-            directions = self.router.path_directions(path)
+            directions = self.engine.intern(self.router.path_directions(path))
             ceiling = min(self.tcp.rate_ceiling_bps(params), path.per_flow_cap_bps)
             sizes = proto.chunk_sizes(spec.size_bytes)
             for index, chunk in enumerate(sizes):
@@ -301,7 +301,7 @@ class CloudClient:
                 label="GET (ranged download start)",
             )
 
-            directions = self.router.path_directions(down_path)
+            directions = self.engine.intern(self.router.path_directions(down_path))
             ceiling = min(self.tcp.rate_ceiling_bps(params), down_path.per_flow_cap_bps)
             sizes = proto.chunk_sizes(obj.size_bytes)
             for index, chunk in enumerate(sizes):

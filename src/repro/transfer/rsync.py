@@ -221,7 +221,7 @@ class RsyncSession:
         yield self.SSH_HANDSHAKE_RTTS * params.rtt_s
         yield self.tcp.request_response_time_s(params)  # file list + sig request
 
-        directions = self.router.path_directions(path)
+        directions = self.engine.intern(self.router.path_directions(path))
         ceiling = min(self.tcp.rate_ceiling_bps(params), path.per_flow_cap_bps)
         est = self.engine.estimate_rate(directions, ceiling)
         deficit_s = self.tcp.startup_penalty_s(params, est) if est > 0 else 0.0

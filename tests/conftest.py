@@ -14,8 +14,11 @@ A PBR rule at r1 steers traffic sourced in hostA's prefix and destined to
 AS300 via the exchange — the pacificwave mechanism in miniature.
 """
 
+from pathlib import Path
+
 import pytest
 
+from repro.lint import DEFAULT_CONFIG, LintEngine
 from repro.net import (
     ASGraph,
     AutonomousSystem,
@@ -28,6 +31,15 @@ from repro.net import (
     Topology,
 )
 from repro.units import mbps, ms
+
+REPRO_TREE = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+
+@pytest.fixture(scope="session")
+def tree_report():
+    """One per-file lint of the whole ``src/repro`` tree under the default
+    config, shared by every test that gates on the real tree."""
+    return LintEngine(config=DEFAULT_CONFIG).lint_tree(REPRO_TREE)
 
 
 @pytest.fixture

@@ -16,15 +16,23 @@ only when its rate changes and when its completion fires.  The original
 ``_drain_all``, ``_reallocate`` and ``cancel``, which the two methods
 above relied on, are kept here verbatim too.  This class keeps no running
 direction loads, so its ``estimate_rate`` is not part of the oracle.
+
+:class:`ReferenceResidualEngine` is a second, separate oracle: the live
+engine with the re-fill that summed each walked direction's outside
+users afresh, where the live one takes their load from the running
+direction loads.  Its ``_refill`` is kept verbatim.
 """
 
 from __future__ import annotations
 
 from math import ulp
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro import units
 from repro.errors import TransferError
-from repro.net.engine import _DRIFT_ULPS, NetworkEngine, Transfer, TransferResult
+from repro.net.engine import (_DRIFT_ULPS, _SATURATED, NetworkEngine, Transfer,
+                              TransferResult)
+from repro.net.flows import FlowSpec, max_min_allocation
 
 
 class ReferenceNetworkEngine(NetworkEngine):
@@ -111,3 +119,74 @@ class ReferenceNetworkEngine(NetworkEngine):
     def _reallocate(self) -> None:
         self._drain_all()
         self._rebalance()
+
+
+class ReferenceResidualEngine(NetworkEngine):
+    """``NetworkEngine`` with the re-fill that summed outside users afresh."""
+
+    def _refill(
+        self, seeds: Iterable[Transfer], phantom: Optional[FlowSpec] = None,
+    ) -> Tuple[List[Transfer], Dict[Hashable, float]]:
+        """Max-min rates for the flows a change at *seeds* can reach.
+
+        The component is every flow reachable from the seeds (and from
+        *phantom*, a flow not in flight) over saturated directions.  It is
+        re-filled against the capacity the flows outside it leave; if that
+        saturates a direction outside flows also cross, they join it and
+        it is re-filled again.  Flows outside keep their rates.  Returns
+        the component in start order and its new rates (the phantom's
+        too); no state is written.
+        """
+        users, caps, load = self._users, self._capacities, self._load
+        comp: Dict[int, Transfer] = {}
+        walked: Set[int] = set()  # directions of the component's flows
+        frontier: List[Transfer] = list(seeds)
+        extra: List[FlowSpec] = []
+
+        def walk(resources: Sequence[int]) -> None:
+            for d in resources:
+                if d not in walked:
+                    walked.add(d)
+                    if load[d] >= caps[d] * _SATURATED:
+                        frontier.extend(users[d].values())
+
+        if phantom is not None:
+            extra.append(phantom)
+            walk(phantom.resources)
+        elif not frontier:
+            return [], {}
+        while True:
+            while frontier:
+                t = frontier.pop()
+                if t.flow_id not in comp:
+                    comp[t.flow_id] = t
+                    walk(t._alloc_spec.resources)
+            flows = [comp[i] for i in sorted(comp)]
+            specs = [t._alloc_spec for t in flows] + extra
+            residual: Dict[int, float] = {}
+            outside: Dict[int, Tuple[float, List[Transfer]]] = {}
+            for d in walked:
+                out = []
+                taken = 0.0
+                for i, t in users[d].items():
+                    if i not in comp:
+                        out.append(t)
+                        taken += t.rate_bps
+                residual[d] = caps[d] - taken
+                if out:
+                    outside[d] = (taken, out)
+            alloc = max_min_allocation(specs, residual)
+            if not outside:
+                return flows, alloc
+            # Merge: the outside users of a direction the re-fill saturated.
+            used = dict.fromkeys(outside, 0.0)
+            for s in specs:
+                rate = alloc[s.flow_id]
+                for d in s.resources:
+                    if d in used:
+                        used[d] += rate
+            for d, (taken, out) in outside.items():
+                if used[d] + taken >= caps[d] * _SATURATED:
+                    frontier.extend(out)
+            if not frontier:
+                return flows, alloc

@@ -96,12 +96,11 @@ class TestTreeRulesStillApply:
 
 
 class TestRealBrokerTreeIsClean:
-    def test_zero_error_findings(self):
-        # scan from the package root so findings carry the "broker/" rel
-        # prefix and the MODEL-scope rules actually apply to the package
-        engine = LintEngine(config=DEFAULT_CONFIG)
-        report = engine.lint_tree(REPO_ROOT / "src" / "repro")
-        broker_errors = [f for f in report.errors
+    def test_zero_error_findings(self, tree_report):
+        # the report scans from the package root, so findings carry the
+        # "broker/" rel prefix and the MODEL-scope rules actually apply to
+        # the package
+        broker_errors = [f for f in tree_report.errors
                         if f.file.startswith("broker/")]
         assert broker_errors == [], "\n".join(
             f"{f.file}:{f.line} [{f.rule}] {f.message}"

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import Baseline, LintEngine, Severity, run_lint
+from repro.lint import Baseline, Severity, run_lint
 from repro.lint.runner import BASELINE_FILENAME, default_scan_root
 
 pytestmark = pytest.mark.lint
@@ -33,12 +33,6 @@ def test_repro_tree_is_clean_modulo_baseline(capsys):
     code = run_lint([default_scan_root()], baseline_path=BASELINE_PATH)
     out = capsys.readouterr().out
     assert code == 0, f"repro lint found new violations:\n{out}"
-
-
-@pytest.fixture(scope="module")
-def tree_report():
-    """One per-file lint of the whole tree, shared by the tests below."""
-    return LintEngine().lint_paths([default_scan_root()])
 
 
 def test_repro_tree_has_no_stale_baseline_entries(tree_report):

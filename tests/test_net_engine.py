@@ -10,12 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import TransferError
 from repro.net import NetworkEngine
-from repro.net.flows import max_min_allocation
+from repro.net.flows import FlowSpec, max_min_allocation
 from repro.net.topology import Link, Node, NodeKind, Topology
 from repro.obs import KernelProfiler
 from repro.sim import Simulator, Tracer
 from repro.units import mb, mbps, ms
-from tests.engine_reference import ReferenceNetworkEngine
+from tests.engine_reference import ReferenceNetworkEngine, ReferenceResidualEngine
 
 
 def line_topology():
@@ -225,6 +225,46 @@ class TestSharing:
         assert [t.rate_bps for t in flows[1:]] == [capacity / (n - 1)] * (n - 1)
 
 
+class TestInternedPath:
+    def test_lists_each_direction_once(self):
+        topo = line_topology()
+        engine = NetworkEngine(Simulator(), topo)
+        path = dirs(topo, "h1", "mid", "h2")
+        twice = engine.intern(path + path[1:])
+        assert twice.directions == tuple(path + path[1:])
+        assert twice.resources == engine.intern(path).resources
+        assert engine.intern(twice) is twice
+
+    def test_path_from_another_engine_is_refused(self):
+        topo = line_topology()
+        path = dirs(topo, "h1", "mid", "h2")
+        handle = NetworkEngine(Simulator(), topo).intern(path)
+        other = NetworkEngine(Simulator(), topo)
+        with pytest.raises(TransferError):
+            other.start_transfer(handle, mb(1))
+        with pytest.raises(TransferError):
+            other.estimate_rate(handle)
+        assert other.active_count == 0
+
+    def test_path_interned_before_a_link_change_gets_the_rates_of_a_list(self):
+        topo = line_topology()
+        path = dirs(topo, "h1", "mid", "h2")
+        bottleneck = topo.link_between("mid", "h2")
+        by_handle = NetworkEngine(Simulator(), topo)
+        by_list = NetworkEngine(Simulator(), topo)
+        handle = by_handle.intern(path)
+        for failed, share in ((True, bottleneck.FAILED_RESIDUAL_BPS), (False, mbps(5))):
+            bottleneck.failed = failed
+            for engine in (by_handle, by_list):
+                engine.on_link_state_change(bottleneck.name)
+            assert by_handle.estimate_rate(handle) == by_list.estimate_rate(path)
+            by_handle.start_transfer(handle, mb(100))
+            by_list.start_transfer(path, mb(100))
+            rates = [t.rate_bps for t in by_handle.active_transfers()]
+            assert rates == [t.rate_bps for t in by_list.active_transfers()]
+            assert rates[-1] == pytest.approx(share)
+
+
 class TestProfilerCounts:
     def test_flows_touched_counts_the_component_refilled(self):
         prof = KernelProfiler()
@@ -284,6 +324,17 @@ class TestTracing:
         topo = line_topology()
         tracer = Tracer()
         engine = NetworkEngine(sim, topo, tracer=tracer)
+        engine.start_transfer(dirs(topo, "h1", "mid", "h2"), mb(1), label="x")
+        sim.run()
+        kinds = [e.kind for e in tracer.filter(component="net.engine")]
+        assert kinds == ["flow_start", "flow_end"]
+
+    def test_tracer_enabled_after_the_engine_is_built(self):
+        sim = Simulator()
+        topo = line_topology()
+        tracer = Tracer(enabled=False)
+        engine = NetworkEngine(sim, topo, tracer=tracer)
+        tracer.enabled = True
         engine.start_transfer(dirs(topo, "h1", "mid", "h2"), mb(1), label="x")
         sim.run()
         kinds = [e.kind for e in tracer.filter(component="net.engine")]
@@ -423,13 +474,14 @@ def engine_scenarios(draw):
 
 
 def _run_scenario(engine_cls, scenario, probes=(), after_event=None,
-                  check_probe=None):
+                  check_probe=None, interned=False):
     """Each flow's fate under *engine_cls*: its end time, or "cancelled".
 
     Each probe ``(at, path, ceiling)`` calls *check_probe* (default
     ``_check_probe``) with the engine, the path's directions and the
     ceiling at *at*; *after_event* is called with the engine after every
-    simulator event."""
+    simulator event.  With *interned*, every path is interned once before
+    the first event, and flows and probes are given the handles."""
     check_probe = check_probe if check_probe is not None else _check_probe
     capacities, flows, outages = scenario
     topo = Topology()
@@ -440,11 +492,17 @@ def _run_scenario(engine_cls, scenario, probes=(), after_event=None,
         topo.add_link(Link(u, v, capacity_bps=cap, delay_s=ms(1)))
     sim = Simulator()
     engine = engine_cls(sim, topo)
+    handles = [engine.intern(topo.path_directions(list(p)))
+               for p in _PATHS] if interned else None
+
+    def path(i):
+        return handles[i] if interned else topo.path_directions(list(_PATHS[i]))
+
     transfers = {}
 
     def start(k, flow):
         transfers[k] = engine.start_transfer(
-            topo.path_directions(list(_PATHS[flow["path"]])), flow["nbytes"],
+            path(flow["path"]), flow["nbytes"],
             ceiling_bps=flow["ceiling"], label=f"f{k}",
             startup_deficit_bytes=flow["deficit"])
 
@@ -461,9 +519,8 @@ def _run_scenario(engine_cls, scenario, probes=(), after_event=None,
         name = topo.link_between(*_LINKS[link]).name
         sim.schedule(at, lambda name=name: set_failed(name, True))
         sim.schedule(at + down_for, lambda name=name: set_failed(name, False))
-    for at, path, ceiling in probes:
-        directions = topo.path_directions(list(_PATHS[path]))
-        sim.schedule(at, lambda d=directions, c=ceiling: check_probe(engine, d, c))
+    for at, i, ceiling in probes:
+        sim.schedule(at, lambda d=path(i), c=ceiling: check_probe(engine, d, c))
     while sim.step():
         if after_event is not None:
             after_event(engine)
@@ -540,7 +597,7 @@ def _assert_loads(engine):
 
 def _check_probe(engine, directions, ceiling):
     got = engine.estimate_rate(directions, ceiling)
-    phantom = engine._interned_spec("probe", directions, ceiling)
+    phantom = FlowSpec("probe", engine.intern(directions).resources, ceiling)
     specs = [t._alloc_spec for t in engine.active_transfers()] + [phantom]
     full = max_min_allocation(specs, engine._capacities)
     assert got == pytest.approx(full["probe"], rel=1e-12, abs=0.0)
@@ -579,3 +636,96 @@ class TestEstimateIsExact:
         scenario, probes = probed
         _run_scenario(NetworkEngine, scenario, probes,
                       check_probe=_start_at_estimate)
+
+
+# -- interned paths are sequences interned once ------------------------------
+#
+# Interning every path before the first event gives the directions other
+# ids than interning each on first use; no rate may depend on that.
+
+
+def _states_after_every_event(scenario, probes, interned):
+    states = []
+
+    def record(engine):
+        states.append((engine.sim.now, [
+            (t.flow_id, t.rate_bps, t.remaining_bytes)
+            for t in engine.active_transfers()]))
+
+    fates = _run_scenario(NetworkEngine, scenario, probes, record,
+                          interned=interned)
+    return fates, states
+
+
+class TestInternedPathsMatchSequences:
+    @settings(max_examples=100, deadline=None)
+    @given(probed_scenarios())
+    def test_bit_identical_rates_and_end_times(self, probed):
+        scenario, probes = probed
+        assert _states_after_every_event(scenario, probes, True) == \
+            _states_after_every_event(scenario, probes, False)
+
+
+# -- oracle: outside users' load summed afresh --------------------------------
+#
+# The re-fill takes the load of a direction's outside users from its
+# running load, where the reference summed their rates afresh.  Every
+# re-fill (every start, cancel, completion, link change and probe) must
+# find the reference's component, and rates equal to within 1e-12
+# relative.
+
+
+class _ResidualOracle(ReferenceResidualEngine):
+    """Runs the live re-fill and the reference on the same state."""
+
+    def _refill(self, seeds, phantom=None):
+        seeds = list(seeds)
+        flows, alloc = NetworkEngine._refill(self, seeds, phantom)
+        ref_flows, ref_alloc = super()._refill(seeds, phantom)
+        assert [t.flow_id for t in flows] == [t.flow_id for t in ref_flows]
+        assert list(alloc) == list(ref_alloc)
+        for flow_id, rate in ref_alloc.items():
+            assert alloc[flow_id] == pytest.approx(rate, rel=1e-12, abs=0.0)
+        return flows, alloc
+
+
+class _NoAllInsideBranch(_ResidualOracle):
+    """The live residuals with every direction taking load less own rates,
+    even one the component's flows have to themselves."""
+
+    def _residuals(self, flows, walked):
+        caps, load = self._capacities, self._load
+        own = {}
+        for t in flows:
+            for d in t._alloc_spec.resources:
+                own[d] = own.get(d, 0.0) + t.rate_bps
+        residual, outside = {}, {}
+        for d in walked:
+            taken = outside[d] = load[d] - own.get(d, 0.0)
+            residual[d] = caps[d] - taken
+        return residual, outside
+
+
+def _shared_link_fails():
+    """Three flows share a--b at 10/3 Mbit/s, so its running load carries
+    rounding; then a--b fails, leaving 1 bit/s for the three."""
+    capacities = [mbps(100)] * len(_LINKS)
+    capacities[_LINKS.index(("a", "b"))] = mbps(10)
+    flows = [dict(path=0, nbytes=mb(50), ceiling=inf, deficit=0.0,
+                  start=0.1 * k, cancel_after=None) for k in range(3)]
+    return capacities, flows, [(_LINKS.index(("a", "b")), 1.0, 0.5)]
+
+
+class TestResidualsMatchReference:
+    @settings(max_examples=200, deadline=None)
+    @given(probed_scenarios())
+    def test_components_and_rates_at_every_refill(self, probed):
+        scenario, probes = probed
+        _run_scenario(_ResidualOracle, scenario, probes)
+
+    def test_a_link_failing_under_its_users(self):
+        _run_scenario(_ResidualOracle, _shared_link_fails())
+
+    def test_dropping_the_all_inside_branch_fails_the_oracle(self):
+        with pytest.raises(AssertionError):
+            _run_scenario(_NoAllInsideBranch, _shared_link_fails())
