@@ -21,8 +21,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import inf, isfinite, ulp
-from typing import (Dict, Hashable, Iterable, List, Mapping, Optional, Sequence,
-                    Set, Tuple, Union)
+from typing import (Collection, Dict, Hashable, Iterable, List, Mapping,
+                    Optional, Sequence, Set, Tuple, Union)
 
 from repro import units
 from repro.errors import TransferError
@@ -330,7 +330,7 @@ class NetworkEngine:
         return max_min_allocation(specs, self._capacities)
 
     def _refill(
-        self, seeds: Iterable[Transfer], phantom: Optional[FlowSpec] = None,
+        self, seeds: Collection[Transfer], phantom: Optional[FlowSpec] = None,
     ) -> Tuple[List[Transfer], Dict[Hashable, float]]:
         """Max-min rates for the flows a change at *seeds* can reach.
 
@@ -341,31 +341,97 @@ class NetworkEngine:
         it is re-filled again.  Flows outside keep their rates.  Returns
         the component in start order and its new rates (the phantom's
         too); no state is written.
+
+        A lone seed, or a phantom with no seed, is first tried by
+        :meth:`_lone_fill`; the general walk takes over where it stops.
+        """
+        comp: Dict[int, Transfer] = {}
+        extra: List[FlowSpec] = []
+        lone = None
+        if phantom is not None:
+            extra.append(phantom)
+            first = phantom
+            if not seeds:
+                lone = self._lone_fill(phantom, 0.0, 0)
+        elif len(seeds) == 1:
+            (seed,) = seeds
+            first = seed._alloc_spec
+            lone = self._lone_fill(first, seed.rate_bps, 1)
+            if lone is not None:
+                comp[seed.flow_id] = seed
+        if lone is None:
+            return self._fill(comp, set(), list(seeds), extra)
+        rate, joiners = lone
+        if not joiners:
+            return list(comp.values()), {first.flow_id: rate}
+        return self._fill(comp, set(first.resources), joiners, extra)
+
+    def _lone_fill(
+        self, spec: FlowSpec, own: float, mine: int,
+    ) -> Optional[Tuple[float, List[Transfer]]]:
+        """The first walk and fill of a component that starts as the one
+        flow *spec*, in one pass over its directions.  *own* is the flow's
+        current rate and *mine* the users it counts for on a direction
+        (``0`` for a phantom).  Returns its rate and the flows that must
+        join it: the users of a direction it crosses that is saturated
+        (the walk's), or else of one the rate saturates that other flows
+        also cross (the merge rule's).  With none, the rate stands.
+        ``None`` where the fill would raise: no positive, finite bound.
+
+        The residuals are ``_residuals``' own, and the rate is the lower
+        of the ceiling and the tightest of them, as ``max_min_allocation``
+        fills one flow, so every bit is the general fill's.
         """
         users, caps, load = self._users, self._capacities, self._load
-        comp: Dict[int, Transfer] = {}
-        walked: Set[int] = set()  # directions of the component's flows
-        frontier: List[Transfer] = list(seeds)
-        extra: List[FlowSpec] = []
+        rate = spec.ceiling_bps
+        shared: List[int] = []
+        joiners: List[Transfer] = []
+        for d in spec.resources:
+            cap = caps[d]
+            if len(users[d]) == mine:
+                # the flow has the direction to itself
+                if cap < rate:
+                    rate = cap
+            elif load[d] >= cap * _SATURATED:
+                joiners.extend(users[d].values())
+            else:
+                shared.append(d)
+                room = cap - (load[d] - own)
+                if room < rate:
+                    rate = room
+        if joiners:
+            return rate, joiners
+        if not 0.0 < rate < inf:
+            return None
+        for d in shared:
+            if rate + (load[d] - own) >= caps[d] * _SATURATED:
+                joiners.extend(users[d].values())
+        return rate, joiners
 
-        def walk(resources: Sequence[int]) -> None:
-            for d in resources:
+    def _fill(
+        self, comp: Dict[int, Transfer], walked: Set[int],
+        frontier: List[Transfer], extra: List[FlowSpec],
+    ) -> Tuple[List[Transfer], Dict[Hashable, float]]:
+        """The re-fill of ``_refill`` from the component *comp* whose flows'
+        directions have been *walked*, with *frontier* still to join and
+        the phantom, if any, in *extra*."""
+        users, caps, load = self._users, self._capacities, self._load
+        for s in extra:
+            for d in s.resources:
                 if d not in walked:
                     walked.add(d)
                     if load[d] >= caps[d] * _SATURATED:
                         frontier.extend(users[d].values())
-
-        if phantom is not None:
-            extra.append(phantom)
-            walk(phantom.resources)
-        elif not frontier:
-            return [], {}
         while True:
             while frontier:
                 t = frontier.pop()
                 if t.flow_id not in comp:
                     comp[t.flow_id] = t
-                    walk(t._alloc_spec.resources)
+                    for d in t._alloc_spec.resources:
+                        if d not in walked:
+                            walked.add(d)
+                            if load[d] >= caps[d] * _SATURATED:
+                                frontier.extend(users[d].values())
             flows = [comp[i] for i in sorted(comp)]
             specs = [t._alloc_spec for t in flows] + extra
             residual, outside = self._residuals(flows, walked)
@@ -403,8 +469,12 @@ class NetworkEngine:
         for t in flows:
             rate = t.rate_bps
             for d in t._alloc_spec.resources:
-                inside[d] = inside.get(d, 0) + 1
-                own[d] = own.get(d, 0.0) + rate
+                if d in inside:
+                    inside[d] += 1
+                    own[d] += rate
+                else:
+                    inside[d] = 1
+                    own[d] = 0.0 + rate
         residual: Dict[int, float] = {}
         outside: Dict[int, float] = {}
         for d in walked:
@@ -422,8 +492,9 @@ class NetworkEngine:
         self._rebalance()
 
     def _rebalance(self) -> None:
-        """Re-share bandwidth: re-fill the flows the dirty ones reach."""
-        if not self._flows:
+        """Re-share bandwidth: re-fill the flows the dirty ones reach.
+        With none dirty no rate can change, and nothing is done."""
+        if not self._dirty:
             return
         prof = self.sim.profiler
         if prof is None:
@@ -438,8 +509,6 @@ class NetworkEngine:
     def _do_reallocate(self) -> None:
         dirty, self._dirty = self._dirty, {}
         flows, alloc = self._refill(dirty.values())
-        if not flows:
-            return
         if self._metrics_on:
             self._m_reallocs.inc()
         prof = self.sim.profiler
