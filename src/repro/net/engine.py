@@ -21,8 +21,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import inf, isfinite, ulp
-from typing import (Collection, Dict, Hashable, Iterable, List, Mapping,
-                    Optional, Sequence, Set, Tuple, Union)
+from typing import (Collection, Dict, Hashable, List, Mapping, Optional,
+                    Sequence, Tuple, Union)
 
 from repro import units
 from repro.errors import TransferError
@@ -338,108 +338,65 @@ class NetworkEngine:
         *phantom*, a flow not in flight) over saturated directions.  It is
         re-filled against the capacity the flows outside it leave; if that
         saturates a direction outside flows also cross, they join it and
-        it is re-filled again.  Flows outside keep their rates.  Returns
-        the component in start order and its new rates (the phantom's
-        too); no state is written.
+        it is re-filled again.  Returns the component in start order and
+        its new rates (the phantom's too); no state is written.
 
         A lone seed, or a phantom with no seed, is first tried by
-        :meth:`_lone_fill`; the general walk takes over where it stops.
+        :meth:`_lone_rate`.  Otherwise one walk grows the component and
+        counts its flows and their rates on each direction it reaches.  A
+        direction whose users are all inside keeps its capacity exactly;
+        any other leaves its running load less those rates.
         """
-        comp: Dict[int, Transfer] = {}
-        extra: List[FlowSpec] = []
-        lone = None
-        if phantom is not None:
-            extra.append(phantom)
-            first = phantom
-            if not seeds:
-                lone = self._lone_fill(phantom, 0.0, 0)
-        elif len(seeds) == 1:
+        if phantom is not None and not seeds:
+            rate = self._lone_rate(phantom, 0.0, 0)
+            if rate is not None:
+                return [], {phantom.flow_id: rate}
+        elif phantom is None and len(seeds) == 1:
             (seed,) = seeds
-            first = seed._alloc_spec
-            lone = self._lone_fill(first, seed.rate_bps, 1)
-            if lone is not None:
-                comp[seed.flow_id] = seed
-        if lone is None:
-            return self._fill(comp, set(), list(seeds), extra)
-        rate, joiners = lone
-        if not joiners:
-            return list(comp.values()), {first.flow_id: rate}
-        return self._fill(comp, set(first.resources), joiners, extra)
-
-    def _lone_fill(
-        self, spec: FlowSpec, own: float, mine: int,
-    ) -> Optional[Tuple[float, List[Transfer]]]:
-        """The first walk and fill of a component that starts as the one
-        flow *spec*, in one pass over its directions.  *own* is the flow's
-        current rate and *mine* the users it counts for on a direction
-        (``0`` for a phantom).  Returns its rate and the flows that must
-        join it: the users of a direction it crosses that is saturated
-        (the walk's), or else of one the rate saturates that other flows
-        also cross (the merge rule's).  With none, the rate stands.
-        ``None`` where the fill would raise: no positive, finite bound.
-
-        The residuals are ``_residuals``' own, and the rate is the lower
-        of the ceiling and the tightest of them, as ``max_min_allocation``
-        fills one flow, so every bit is the general fill's.
-        """
+            rate = self._lone_rate(seed._alloc_spec, seed.rate_bps, 1)
+            if rate is not None:
+                return [seed], {seed.flow_id: rate}
         users, caps, load = self._users, self._capacities, self._load
-        rate = spec.ceiling_bps
-        shared: List[int] = []
-        joiners: List[Transfer] = []
-        for d in spec.resources:
-            cap = caps[d]
-            if len(users[d]) == mine:
-                # the flow has the direction to itself
-                if cap < rate:
-                    rate = cap
-            elif load[d] >= cap * _SATURATED:
-                joiners.extend(users[d].values())
-            else:
-                shared.append(d)
-                room = cap - (load[d] - own)
-                if room < rate:
-                    rate = room
-        if joiners:
-            return rate, joiners
-        if not 0.0 < rate < inf:
-            return None
-        for d in shared:
-            if rate + (load[d] - own) >= caps[d] * _SATURATED:
-                joiners.extend(users[d].values())
-        return rate, joiners
-
-    def _fill(
-        self, comp: Dict[int, Transfer], walked: Set[int],
-        frontier: List[Transfer], extra: List[FlowSpec],
-    ) -> Tuple[List[Transfer], Dict[Hashable, float]]:
-        """The re-fill of ``_refill`` from the component *comp* whose flows'
-        directions have been *walked*, with *frontier* still to join and
-        the phantom, if any, in *extra*."""
-        users, caps, load = self._users, self._capacities, self._load
+        comp: Dict[int, Transfer] = {}
+        inside: Dict[int, int] = {}  # direction -> component flows on it
+        own: Dict[int, float] = {}  # direction -> their rates summed
+        frontier = list(seeds)
+        extra = [] if phantom is None else [phantom]
         for s in extra:
             for d in s.resources:
-                if d not in walked:
-                    walked.add(d)
-                    if load[d] >= caps[d] * _SATURATED:
-                        frontier.extend(users[d].values())
+                inside[d] = 0
+                own[d] = 0.0
+                if load[d] >= caps[d] * _SATURATED:
+                    frontier.extend(users[d].values())
         while True:
             while frontier:
                 t = frontier.pop()
                 if t.flow_id not in comp:
                     comp[t.flow_id] = t
+                    rate = t.rate_bps
                     for d in t._alloc_spec.resources:
-                        if d not in walked:
-                            walked.add(d)
+                        if d in inside:
+                            inside[d] += 1
+                            own[d] += rate
+                        else:
+                            inside[d] = 1
+                            own[d] = rate
                             if load[d] >= caps[d] * _SATURATED:
                                 frontier.extend(users[d].values())
             flows = [comp[i] for i in sorted(comp)]
             specs = [t._alloc_spec for t in flows] + extra
-            residual, outside = self._residuals(flows, walked)
+            residual: Dict[int, float] = {}
+            outside: Dict[int, float] = {}  # direction -> outside users' load
+            for d, n in inside.items():
+                if n == len(users[d]):
+                    residual[d] = caps[d]
+                else:
+                    taken = outside[d] = load[d] - own[d]
+                    residual[d] = caps[d] - taken
             alloc = max_min_allocation(specs, residual)
             if not outside:
                 return flows, alloc
-            # Merge: the outside users of a direction the re-fill saturated
-            # (listed only here: the residuals take their load whole).
+            # Merge: the outside users of a direction the re-fill saturated.
             used = dict.fromkeys(outside, 0.0)
             for s in specs:
                 rate = alloc[s.flow_id]
@@ -453,37 +410,39 @@ class NetworkEngine:
             if not frontier:
                 return flows, alloc
 
-    def _residuals(
-        self, flows: List[Transfer], walked: Iterable[int],
-    ) -> Tuple[Dict[int, float], Dict[int, float]]:
-        """The capacity each *walked* direction leaves the component
-        *flows*, and the load its outside users take where it has any.
-
-        A direction whose users are all in the component keeps its full
-        capacity exactly; any other takes its running load less the
-        component's own rates on it, so no outside user is visited.
+    def _lone_rate(self, spec: FlowSpec, own: float,
+                   mine: int) -> Optional[float]:
+        """The rate of *spec* re-filled as a component of its own, in one
+        pass over its directions, or ``None`` if it is not one.  *own* is
+        its current rate and *mine* the users it counts for on a direction
+        (``0`` for a phantom).  The residuals are the walk's, and the rate
+        is the lower of the ceiling and the tightest, as the fill gives.
+        It declines where a direction the flow crosses is saturated by
+        others, where the rate would saturate one others cross, and where
+        it has no positive, finite bound.
         """
         users, caps, load = self._users, self._capacities, self._load
-        inside: Dict[int, int] = {}
-        own: Dict[int, float] = {}
-        for t in flows:
-            rate = t.rate_bps
-            for d in t._alloc_spec.resources:
-                if d in inside:
-                    inside[d] += 1
-                    own[d] += rate
-                else:
-                    inside[d] = 1
-                    own[d] = 0.0 + rate
-        residual: Dict[int, float] = {}
-        outside: Dict[int, float] = {}
-        for d in walked:
-            if inside.get(d, 0) == len(users[d]):
-                residual[d] = caps[d]
+        rate = spec.ceiling_bps
+        shared: List[int] = []
+        for d in spec.resources:
+            cap = caps[d]
+            if len(users[d]) == mine:
+                # the flow has the direction to itself
+                if cap < rate:
+                    rate = cap
+            elif load[d] >= cap * _SATURATED:
+                return None
             else:
-                taken = outside[d] = load[d] - own.get(d, 0.0)
-                residual[d] = caps[d] - taken
-        return residual, outside
+                shared.append(d)
+                room = cap - (load[d] - own)
+                if room < rate:
+                    rate = room
+        if not 0.0 < rate < inf:
+            return None
+        for d in shared:
+            if rate + (load[d] - own) >= caps[d] * _SATURATED:
+                return None
+        return rate
 
     def _reallocate(self) -> None:
         """Re-share bandwidth after a start or a link-state change (the

@@ -69,12 +69,8 @@ def max_min_allocation(
     same ``headroom -= delta * active``, and float rounding is monotone.
     One shared ``level`` is every unfrozen flow's rate, so the rates are
     bit-identical to per-link, per-flow progressive filling (DESIGN.md).
-    A lone flow is filled in closed form: one increment, to its ceiling
-    or its tightest resource, whichever is lower.
     """
     flow_list = list(flows)
-    if len(flow_list) == 1:
-        return _one_flow(flow_list[0], capacities_bps)
     ids = [f.flow_id for f in flow_list]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate flow ids in allocation request")
@@ -169,25 +165,3 @@ def max_min_allocation(
 
     return dict(zip(ids, alloc))
 
-
-def _one_flow(
-    flow: FlowSpec,
-    capacities_bps: Union[Mapping[ResourceId, float], Sequence[float]],
-) -> Dict[Hashable, float]:
-    """The water-fill of one flow: its ceiling or the tightest capacity of
-    its one link class, taken as a single increment from ``0.0``.  Each
-    distinct resource is read once in first-appearance order, so errors
-    arise as they would in the fill."""
-    tightest = None
-    for r in dict.fromkeys(flow.resources):
-        cap = float(capacities_bps[r])
-        if cap <= 0:
-            raise ValueError(f"resource {r!r} has non-positive capacity")
-        if tightest is None or cap < tightest:
-            tightest = cap
-    delta = flow.ceiling_bps - 0.0
-    if tightest is not None and tightest < delta:
-        delta = tightest
-    if delta == inf:
-        raise ValueError("unbounded allocation: flow with no resources and no ceiling")
-    return {flow.flow_id: 0.0 + delta}

@@ -43,30 +43,48 @@ WARM_RUNS = 3
 
 
 def _graph_lint(cache_dir, **kw):
-    buf = []
-    code = run_lint([default_scan_root()], graph=True, cache_dir=cache_dir,
-                    baseline_path=BASELINE_PATH, out=buf.append, **kw)
-    return code, "\n".join(buf)
+    """A whole-program lint of src/repro: its exit code, its output, and
+    the analysis the report was made from."""
+    buf, results = [], []
+    analyze = ProjectAnalyzer.run
+
+    def keep(self, roots):
+        results.append(analyze(self, roots))
+        return results[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ProjectAnalyzer, "run", keep)
+        code = run_lint([default_scan_root()], graph=True, cache_dir=cache_dir,
+                        baseline_path=BASELINE_PATH, out=buf.append, **kw)
+    return code, "\n".join(buf), results[0]
 
 
 @pytest.fixture(scope="module")
-def cold_result():
-    """One cold, cache-free whole-program run over src/repro, shared by
-    the read-only tests below (none of them mutates the result)."""
-    return ProjectAnalyzer(cache_dir=None).run([default_scan_root()])
+def cold_lint(tmp_path_factory):
+    """The one timed cold run: a JSON lint of src/repro into a fresh cache
+    directory.  The gate and the SARIF run read that cache warm (the cache
+    never changes a report; ``uncached_lint`` checks that), and its
+    analysis is shared by the read-only tests below."""
+    cache_dir = tmp_path_factory.mktemp("graph-lint") / "cache"
+    t0 = time.perf_counter()
+    code, out, result = _graph_lint(cache_dir, fmt="json")
+    return cache_dir, code, out, result, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
-def graph_cache(tmp_path_factory):
-    """One cache directory shared by the gate and the SARIF run: whichever
-    runs first fills it, and the other reads it warm (the cache never
-    changes a report; ``test_graph_run_byte_deterministic_and_warm_speedup``
-    checks that on fresh directories of its own)."""
-    return tmp_path_factory.mktemp("graph-lint") / "cache"
+def uncached_lint():
+    """The second fresh run: a cache-free JSON lint of src/repro, which
+    the cold run's report and analysis must equal byte for byte."""
+    return _graph_lint(None, fmt="json", no_cache=True)
 
 
-def test_graph_gate_src_repro_is_clean(graph_cache):
-    code, out = _graph_lint(graph_cache)
+@pytest.fixture(scope="module")
+def cold_result(cold_lint):
+    return cold_lint[3]
+
+
+def test_graph_gate_src_repro_is_clean(cold_lint):
+    code, out, _ = _graph_lint(cold_lint[0])
     assert code == 0, f"repro lint --graph found new violations:\n{out}"
 
 
@@ -80,23 +98,19 @@ def test_no_unbaselined_graph_family_findings(cold_result):
     assert graph_findings == [], "\n".join(f.render() for f in graph_findings)
 
 
-def test_graph_run_byte_deterministic_and_warm_speedup(tmp_path):
-    cache_dir = tmp_path / "cache"
-
-    t0 = time.perf_counter()
-    code_cold, out_cold = _graph_lint(cache_dir, fmt="json")
-    cold_s = time.perf_counter() - t0
+def test_graph_run_byte_deterministic_and_warm_speedup(cold_lint, uncached_lint):
+    cache_dir, code_cold, out_cold, _, cold_s = cold_lint
 
     warm_s = float("inf")
     for _ in range(WARM_RUNS):
         t0 = time.perf_counter()
-        code_warm, out_warm = _graph_lint(cache_dir, fmt="json")
+        code_warm, out_warm, _ = _graph_lint(cache_dir, fmt="json")
         warm_s = min(warm_s, time.perf_counter() - t0)
         assert code_cold == code_warm == 0
         assert out_warm == out_cold, \
             "cold and warm reports must be byte-identical"
 
-    _, out_nocache = _graph_lint(None, fmt="json", no_cache=True)
+    _, out_nocache, _ = uncached_lint
     assert out_nocache == out_cold, "the cache must never change the report"
 
     assert cold_s < COLD_BUDGET_S, f"cold graph lint took {cold_s:.2f}s"
@@ -116,9 +130,9 @@ def test_graph_run_byte_deterministic_and_warm_speedup(tmp_path):
     }, indent=1) + "\n", encoding="utf-8")
 
 
-def test_two_fresh_runs_identical_finding_order(cold_result):
+def test_two_fresh_runs_identical_finding_order(cold_result, uncached_lint):
     a = cold_result
-    b = ProjectAnalyzer(cache_dir=None).run([default_scan_root()])
+    b = uncached_lint[2]
     assert [f.to_dict() for f in a.report.findings] \
         == [f.to_dict() for f in b.report.findings]
     assert a.graph.stats() == b.graph.stats()
@@ -143,8 +157,8 @@ def test_linter_passes_its_own_determinism_rules():
         f.render() for f in report.findings)
 
 
-def test_sarif_output_is_valid_and_lists_graph_rules(graph_cache):
-    code, out = _graph_lint(graph_cache, fmt="sarif")
+def test_sarif_output_is_valid_and_lists_graph_rules(cold_lint):
+    code, out, _ = _graph_lint(cold_lint[0], fmt="sarif")
     assert code == 0
     log = json.loads(out)
     assert log["version"] == "2.1.0"

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import TransferError
 from repro.net import NetworkEngine
+from repro.net.engine import _SATURATED
 from repro.net.flows import FlowSpec, max_min_allocation
 from repro.net.topology import Link, Node, NodeKind, Topology
 from repro.obs import KernelProfiler, MetricsRegistry
@@ -692,18 +693,18 @@ class TestInternedPathsMatchSequences:
             _states_after_every_event(scenario, probes, False)
 
 
-# -- the lone pass is the general fill of one flow ---------------------------
+# -- the lone check is the walk's fill of one flow ---------------------------
 #
 # A re-fill from one dirty flow, or an estimate with none, is first tried
-# in one pass over the flow's directions.  Where the pass answers, every
-# bit must be the general walk and fill's: after every event, every rate,
-# byte count and end time, and every probe's estimate.
+# in one pass over the flow's directions.  Where the check answers, every
+# bit must be the walk and fill's: after every event, every rate, byte
+# count and end time, and every probe's estimate.
 
 
 class _NoLonePass(NetworkEngine):
-    """The engine with every re-fill taken by the general walk and fill."""
+    """The engine with every re-fill taken by the walk and fill."""
 
-    def _lone_fill(self, spec, own, mine):
+    def _lone_rate(self, spec, own, mine):
         return None
 
 
@@ -743,9 +744,11 @@ class TestLonePassMatchesGeneralFill:
 class _ResidualOracle(ReferenceResidualEngine):
     """Runs the live re-fill and the reference on the same state."""
 
+    live_refill = NetworkEngine._refill
+
     def _refill(self, seeds, phantom=None):
         seeds = list(seeds)
-        flows, alloc = NetworkEngine._refill(self, seeds, phantom)
+        flows, alloc = self.live_refill(seeds, phantom)
         ref_flows, ref_alloc = super()._refill(seeds, phantom)
         assert [t.flow_id for t in flows] == [t.flow_id for t in ref_flows]
         assert list(alloc) == list(ref_alloc)
@@ -755,20 +758,47 @@ class _ResidualOracle(ReferenceResidualEngine):
 
 
 class _NoAllInsideBranch(_ResidualOracle):
-    """The live residuals with every direction taking load less own rates,
-    even one the component's flows have to themselves."""
+    """The live walk, with no lone check and every direction taking its
+    load less the component's rates, even one the component's flows have
+    to themselves."""
 
-    def _residuals(self, flows, walked):
-        caps, load = self._capacities, self._load
-        own = {}
-        for t in flows:
-            for d in t._alloc_spec.resources:
-                own[d] = own.get(d, 0.0) + t.rate_bps
-        residual, outside = {}, {}
-        for d in walked:
-            taken = outside[d] = load[d] - own.get(d, 0.0)
-            residual[d] = caps[d] - taken
-        return residual, outside
+    def live_refill(self, seeds, phantom=None):
+        users, caps, load = self._users, self._capacities, self._load
+        comp, inside, own = {}, {}, {}
+        frontier = list(seeds)
+        extra = [phantom] if phantom is not None else []
+        for d in phantom.resources if phantom is not None else ():
+            inside[d], own[d] = 0, 0.0
+            if load[d] >= caps[d] * _SATURATED:
+                frontier.extend(users[d].values())
+        while True:
+            while frontier:
+                t = frontier.pop()
+                if t.flow_id not in comp:
+                    comp[t.flow_id] = t
+                    for d in t._alloc_spec.resources:
+                        if d in inside:
+                            inside[d] += 1
+                            own[d] += t.rate_bps
+                        else:
+                            inside[d], own[d] = 1, t.rate_bps
+                            if load[d] >= caps[d] * _SATURATED:
+                                frontier.extend(users[d].values())
+            flows = [comp[i] for i in sorted(comp)]
+            specs = [t._alloc_spec for t in flows] + extra
+            outside = {d: load[d] - own[d] for d in inside}
+            alloc = max_min_allocation(
+                specs, {d: caps[d] - taken for d, taken in outside.items()})
+            used = dict.fromkeys(outside, 0.0)
+            for s in specs:
+                for d in s.resources:
+                    used[d] += alloc[s.flow_id]
+            for d, taken in outside.items():
+                if used[d] + taken >= caps[d] * _SATURATED:
+                    frontier.extend(t for i, t in users[d].items()
+                                    if i not in comp)
+            if not frontier:
+                return flows, alloc
 
 
 def _shared_link_fails():

@@ -338,7 +338,7 @@ class TestMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(oracle_problems(), dense_oracle_problems()))
     def test_one_flow_bit_identical_to_reference(self, problem):
-        """A lone flow is solved in closed form, not by the fill."""
+        """A lone flow is solved by the same fill as many."""
         flows, capacities, epsilon = problem
         _assert_matches_reference(flows[:1], capacities, epsilon)
 
