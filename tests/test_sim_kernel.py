@@ -408,3 +408,147 @@ class TestInterrupts:
         p.interrupt()
         sim.run()
         assert p.result == "ok"
+
+
+class TestDispatchEdges:
+    """Paths the dispatch loop and the process wake special-case."""
+
+    def test_negative_delay_is_thrown_into_the_process(self):
+        sim = Simulator()
+
+        def proc():
+            try:
+                yield -1.0
+            except SimulationError as exc:
+                yield 2  # still alive, and sleeps on
+                return (sim.now, str(exc))
+
+        p = sim.process(proc())
+        sim.run()
+        assert p.result == (2.0, "cannot sleep a negative duration: -1.0")
+
+    def test_yield_true_sleeps_one_second(self):
+        sim = Simulator()
+
+        def proc():
+            yield True
+            yield False
+            return sim.now
+
+        p = sim.process(proc())
+        sim.run()
+        assert p.result == 1.0
+
+    def test_int_and_float_sleeps_land_on_the_same_clock(self):
+        sim = Simulator()
+        marks = []
+
+        def proc():
+            for dt in (1, 0.5, 0, 2):
+                yield dt
+                marks.append(sim.now)
+
+        sim.process(proc())
+        sim.run()
+        assert marks == [1.0, 1.5, 1.5, 3.5]
+        assert all(type(t) is float for t in marks)
+
+    def test_triggered_signal_resumes_on_the_next_tick(self):
+        sim = Simulator()
+        sig = Signal(sim)
+        sig.trigger("ready")
+        seen = []
+
+        def waiter():
+            seen.append("before")
+            value = yield sig
+            seen.append(value)
+
+        sim.process(waiter())
+        sim.schedule(0.0, lambda: seen.append("queued"))
+        sim.step()  # starts the process, which parks on the signal
+        assert seen == ["before"]
+        sim.step()  # the callback queued before the wake runs first
+        assert seen == ["before", "queued"]
+        sim.step()
+        assert seen == ["before", "queued", "ready"]
+        assert sim.now == 0.0
+
+    def test_interrupt_detaches_a_parked_process(self):
+        sim = Simulator()
+        sig = Signal(sim)
+        seen = []
+
+        def waiter():
+            try:
+                yield sig
+            except Interrupt:
+                seen.append(("interrupted", sim.now))
+            yield 5.0
+            seen.append(("slept", sim.now))
+
+        p = sim.process(waiter())
+        sim.schedule(1.0, p.interrupt)
+        sim.schedule(2.0, lambda: sig.trigger("late"))
+        sim.run()
+        assert seen == [("interrupted", 1.0), ("slept", 6.0)]
+
+    def test_wake_already_due_yields_to_an_interrupt(self):
+        sim = Simulator()
+        sig = Signal(sim)
+        seen = []
+
+        def waiter():
+            try:
+                seen.append((yield sig))
+            except Interrupt as intr:
+                seen.append(intr.cause)
+
+        p = sim.process(waiter())
+
+        def trigger_then_interrupt():
+            sig.trigger("value")  # schedules the wake ...
+            p.interrupt("first")  # ... which the interrupt supersedes
+
+        sim.schedule(1.0, trigger_then_interrupt)
+        sim.run()
+        assert seen == ["first"]
+
+    def test_run_until_triggered_max_events_backstop(self):
+        sim = Simulator()
+        sig = Signal(sim)
+
+        def ticker():
+            while True:
+                yield 1.0
+
+        sim.process(ticker())
+        with pytest.raises(SimulationError, match="max_events=5"):
+            sim.run_until_triggered(sig, max_events=5)
+        assert sim.now == 4.0  # the start plus four ticks
+
+    def test_run_max_events_backstop(self):
+        sim = Simulator()
+        for i in range(3):
+            sim.schedule(float(i), lambda: None)
+        with pytest.raises(SimulationError, match="max_events=2"):
+            sim.run(max_events=2)
+        sim.run()  # not left marked as running
+        assert sim.now == 2.0
+
+    def test_run_until_leaves_clock_at_horizon_after_drain(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        sim.run(until=5.0)
+        assert sim.now == 5.0
+        sim.run(until=3.0)  # the clock never goes back
+        assert sim.now == 5.0
+
+    def test_step_skips_cancelled_entries(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule(1.0, lambda: seen.append(1)).cancel()
+        sim.schedule(2.0, lambda: seen.append(2))
+        assert sim.step() is True
+        assert seen == [2] and sim.now == 2.0
+        assert sim.step() is False
