@@ -416,21 +416,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ignore any baseline file")
     p.add_argument("--update-baseline", action="store_true",
                    help="rewrite the baseline to cover the current findings")
-    p.add_argument("--graph", action="store_true",
-                   help="whole-program analysis: per-file rules plus the "
-                        "SL6xx transitive-determinism, SL9xx layering and "
-                        "SL10xx concurrency-safety call-graph rules")
     p.add_argument("--cache-dir", default=None, metavar="DIR", dest="cache_dir",
-                   help="incremental analysis cache for --graph runs "
-                        "(default: .lint_cache)")
+                   help="incremental analysis cache (default: .lint_cache)")
     p.add_argument("--no-cache", action="store_true", dest="no_cache",
                    help="analyze from scratch, neither reading nor writing "
                         "the cache")
     p.add_argument("--changed", action="store_true",
                    help="lint only files changed vs git HEAD (plus "
-                        "untracked); with --graph the whole program is "
-                        "still analyzed (cache-warm) but findings are "
-                        "reported for changed files only")
+                        "untracked); the whole program is still analyzed "
+                        "(cache-warm) but findings are reported for "
+                        "changed files only")
     p.add_argument("--fix", action="store_true",
                    help="auto-repair fixable findings (SL104 sorted-"
                         "iteration, SL201 units constants, SL1002 atomic-"
@@ -1091,7 +1086,6 @@ def _cmd_lint(args) -> int:
         baseline_path=args.baseline,
         no_baseline=args.no_baseline,
         update_baseline=args.update_baseline,
-        graph=args.graph,
         cache_dir=args.cache_dir,
         no_cache=args.no_cache,
         fix=args.fix,

@@ -12,7 +12,7 @@ docstrings alone cannot enforce:
 * **kernel-safety** (SL3xx) — no mutable default arguments, no bare
   ``except:``, no float ``==`` against simulation-time expressions.
 
-On top of the per-file families, ``repro lint --graph`` runs the
+On top of the per-file families, every ``repro lint`` run performs the
 whole-program analyses of :mod:`repro.lint.graph`:
 
 * **transitive determinism** (SL6xx) — taint from wall-clock / OS-entropy

@@ -12,10 +12,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Collection, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from repro.core.atomic import atomic_write_json
-from repro.lint.engine import known_rule_ids
 from repro.lint.findings import Finding
 
 __all__ = ["Baseline", "BaselineEntry", "BASELINE_VERSION"]
@@ -80,23 +79,17 @@ class Baseline:
     # -- filtering -------------------------------------------------------
 
     def filter(self, findings: Sequence[Finding],
-               active_rules: Optional[Collection[str]] = None,
                ) -> Tuple[List[Finding], List[Finding], List[BaselineEntry]]:
         """Split findings into (kept, baselined); also return stale entries.
 
         For each (file, rule) the first ``count`` findings are forgiven;
         any excess is kept.  Entries that matched nothing are *stale* —
-        the debt they recorded has been paid and they should be removed.
-
-        When ``active_rules`` is given, the :meth:`deferred` entries are
-        neither spent nor reported stale.
+        the debt they recorded has been paid (or names a retired rule)
+        and they should be removed.  Every run executes every registered
+        rule, so no entry can be stale merely because its rule did not run.
         """
-        deferred = (set(self.deferred(active_rules))
-                    if active_rules is not None else set())
         budget: Dict[Tuple[str, str], int] = {}
         for e in self.entries:
-            if e in deferred:
-                continue
             budget[e.key()] = budget.get(e.key(), 0) + e.count
         used: Dict[Tuple[str, str], int] = {}
         kept: List[Finding] = []
@@ -108,22 +101,8 @@ class Baseline:
                 baselined.append(f)
             else:
                 kept.append(f)
-        stale = [e for e in self.entries
-                 if e not in deferred and used.get(e.key(), 0) == 0]
+        stale = [e for e in self.entries if used.get(e.key(), 0) == 0]
         return kept, baselined, stale
-
-    def deferred(self, active_rules: Collection[str]) -> List[BaselineEntry]:
-        """Entries for registered rules that did not run under *active_rules*.
-
-        A per-file-only run must not declare a grandfathered
-        whole-program finding "fixed" just because the rule that
-        produces it did not execute.  An entry naming an id that no rule
-        registers (a retired or mistyped rule) is never deferred: every
-        run reports it stale and ``--update-baseline`` drops it.
-        """
-        known = known_rule_ids()
-        return [e for e in self.entries
-                if e.rule not in active_rules and e.rule in known]
 
     @classmethod
     def from_findings(cls, findings: Sequence[Finding],

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import FrozenSet, List, Mapping, Optional, Tuple
-
-from repro.lint.findings import Severity
+from dataclasses import dataclass, field
+from typing import FrozenSet, List, Mapping, Tuple
 
 __all__ = ["LintConfig", "DEFAULT_CONFIG", "DEFAULT_LAYERS",
            "DEFAULT_WORKER_ENTRYPOINTS"]
@@ -80,10 +78,6 @@ class LintConfig:
     #: The packages allowed to import ``multiprocessing`` /
     #: ``concurrent.futures`` (SL501): the campaign worker-pool engine.
     parallelism_packages: FrozenSet[str] = frozenset({"campaign"})
-    #: Rule ids disabled for this run (e.g. frozenset({"SL203"})).
-    disabled_rules: FrozenSet[str] = frozenset()
-    #: Per-rule severity overrides, e.g. {"SL203": Severity.ERROR}.
-    severity_overrides: Mapping[str, Severity] = field(default_factory=dict)
     #: Architecture layer DAG for SL901 (lowest layer first); empty
     #: disables the layering rules entirely.
     layers: Tuple[Tuple[str, ...], ...] = DEFAULT_LAYERS
@@ -97,9 +91,6 @@ class LintConfig:
     #: atomic-rename write protocol — the only places SL1002 permits raw
     #: durable writes and hand-rolled ``os.replace`` publishing.
     atomic_write_files: FrozenSet[str] = frozenset({"core/atomic.py"})
-
-    def with_disabled(self, *rule_ids: str) -> "LintConfig":
-        return replace(self, disabled_rules=self.disabled_rules | frozenset(rule_ids))
 
     def layer_index(self) -> Mapping[str, int]:
         """package -> layer number (0 = lowest), from ``layers``."""

@@ -10,9 +10,7 @@ layer up (:mod:`repro.lint.baseline`) so reports can show both views.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
-                    Sequence, Tuple, Union)
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.lint.config import DEFAULT_CONFIG, LintConfig
 from repro.lint.context import FileContext
@@ -21,7 +19,7 @@ from repro.lint.findings import Finding, Severity
 __all__ = [
     "Rule", "RULES", "rule", "all_rules",
     "GraphRule", "GRAPH_RULES", "graph_rule", "all_graph_rules",
-    "known_rule_ids", "LintEngine", "LintReport",
+    "LintEngine", "LintReport",
 ]
 
 CheckFn = Callable[[FileContext], Iterable[Tuple[int, str]]]
@@ -119,12 +117,6 @@ def all_graph_rules() -> List[GraphRule]:
     return sorted(GRAPH_RULES.values(), key=lambda r: r.rule_id)
 
 
-def known_rule_ids() -> FrozenSet[str]:
-    """Every id some shipped rule can report: both registries + SL001."""
-    return frozenset(r.rule_id for r in all_rules() + all_graph_rules()) \
-        | {PARSE_ERROR_RULE}
-
-
 @dataclass
 class LintReport:
     """Outcome of one engine run (before baseline filtering)."""
@@ -143,20 +135,15 @@ class LintReport:
 
 
 class LintEngine:
-    """Runs the registered rules over sources, files, or trees."""
+    """Runs the registered per-file rules over one source or context.
 
-    def __init__(self, config: Optional[LintConfig] = None,
-                 rules: Optional[Sequence[Rule]] = None):
+    This is the per-file pass of :class:`repro.lint.graph.ProjectAnalyzer`,
+    which owns file discovery, the cache and the whole-program rules.
+    """
+
+    def __init__(self, config: Optional[LintConfig] = None):
         self.config = config or DEFAULT_CONFIG
-        self._rules = list(rules) if rules is not None else all_rules()
-
-    def active_rules(self) -> List[Rule]:
-        return [r for r in self._rules if r.rule_id not in self.config.disabled_rules]
-
-    def _severity(self, r: Rule) -> Severity:
-        return self.config.severity_overrides.get(r.rule_id, r.severity)
-
-    # -- single-source entry points -------------------------------------
+        self._rules = all_rules()
 
     def lint_source(self, source: str, rel: str = "snippet.py",
                     report: Optional[LintReport] = None) -> List[Finding]:
@@ -183,16 +170,15 @@ class LintEngine:
         rel = ctx.rel
         out: List[Finding] = []
         seen = set()
-        for r in self.active_rules():
+        for r in self._rules:
             if not r.applies_to(ctx):
                 continue
-            severity = self._severity(r)
             for lineno, message in r.check(ctx):
                 key = (rel, lineno, r.rule_id, message)
                 if key in seen:
                     continue
                 seen.add(key)
-                finding = Finding(rel, lineno, r.rule_id, severity, message)
+                finding = Finding(rel, lineno, r.rule_id, r.severity, message)
                 if ctx.is_suppressed(lineno, r.rule_id):
                     report.suppressed.append(finding)
                 else:
@@ -200,39 +186,3 @@ class LintEngine:
         out.sort(key=Finding.sort_key)
         report.findings.extend(out)
         return out
-
-    # -- filesystem entry points ----------------------------------------
-
-    def lint_file(self, path: Union[str, Path], root: Union[str, Path, None] = None,
-                  report: Optional[LintReport] = None) -> List[Finding]:
-        path = Path(path)
-        root = Path(root) if root is not None else path.parent
-        rel = path.relative_to(root).as_posix()
-        source = path.read_text(encoding="utf-8")
-        findings = self.lint_source(source, rel, report=report)
-        if report is not None:
-            report.files_scanned += 1
-        return findings
-
-    def lint_tree(self, root: Union[str, Path]) -> LintReport:
-        """Lint every ``*.py`` under ``root`` (or a single file)."""
-        root = Path(root)
-        report = LintReport()
-        if root.is_file():
-            self.lint_file(root, root.parent, report=report)
-        else:
-            for path in sorted(root.rglob("*.py")):
-                self.lint_file(path, root, report=report)
-        report.findings.sort(key=Finding.sort_key)
-        return report
-
-    def lint_paths(self, paths: Sequence[Union[str, Path]]) -> LintReport:
-        """Lint several roots, merging the reports."""
-        merged = LintReport()
-        for p in paths:
-            sub = self.lint_tree(p)
-            merged.findings.extend(sub.findings)
-            merged.suppressed.extend(sub.suppressed)
-            merged.files_scanned += sub.files_scanned
-        merged.findings.sort(key=Finding.sort_key)
-        return merged

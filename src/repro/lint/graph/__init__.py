@@ -1,6 +1,6 @@
 """Whole-program analysis layer: summaries, call graph, cache, driver.
 
-This subpackage powers ``repro lint --graph``:
+This subpackage powers every ``repro lint`` run:
 
 * :mod:`repro.lint.graph.summary` — per-file, JSON-serializable
   analysis summaries (the unit of incrementality);

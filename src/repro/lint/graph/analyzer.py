@@ -1,4 +1,4 @@
-"""The whole-program analysis driver behind ``repro lint --graph``.
+"""The analysis driver behind every ``repro lint`` run.
 
 One :class:`ProjectAnalyzer` run:
 
@@ -9,7 +9,7 @@ One :class:`ProjectAnalyzer` run:
 3. rebuilds the project call graph from the (cached + fresh) summaries;
 4. runs the registered whole-program rules (SL6xx taint, SL9xx
    layering, SL10xx concurrency) over the graph, applying inline
-   suppressions and severity overrides exactly like the per-file engine.
+   suppressions exactly like the per-file engine.
 
 The resulting :class:`~repro.lint.engine.LintReport` is byte-identical
 whether the cache was cold, warm, stale, or corrupt — the cache is an
@@ -27,7 +27,6 @@ from repro.lint.config import DEFAULT_CONFIG, LintConfig
 from repro.lint.context import FileContext
 from repro.lint.engine import (
     PARSE_ERROR_RULE,
-    GraphRule,
     LintEngine,
     LintReport,
     all_graph_rules,
@@ -76,25 +75,16 @@ class ProjectAnalyzer:
     """Whole-program lint: per-file rules + call-graph rules + cache."""
 
     def __init__(self, config: Optional[LintConfig] = None,
-                 cache_dir: Optional[Union[str, Path]] = None,
-                 engine: Optional[LintEngine] = None,
-                 graph_rules: Optional[Sequence[GraphRule]] = None):
+                 cache_dir: Optional[Union[str, Path]] = None):
         self.config = config or DEFAULT_CONFIG
-        self.engine = engine or LintEngine(config=self.config)
-        rules = list(graph_rules) if graph_rules is not None else all_graph_rules()
-        self.graph_rules = [r for r in rules
-                            if r.rule_id not in self.config.disabled_rules]
+        self.engine = LintEngine(config=self.config)
+        self.graph_rules = all_graph_rules()
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-
-    def _severity(self, rule: GraphRule) -> Severity:
-        return self.config.severity_overrides.get(rule.rule_id, rule.severity)
 
     def _open_cache(self) -> Optional[SummaryCache]:
         if self.cache_dir is None:
             return None
-        fingerprint = ruleset_fingerprint(
-            self.config, self.engine.active_rules(), self.graph_rules)
-        return SummaryCache(self.cache_dir, fingerprint)
+        return SummaryCache(self.cache_dir, ruleset_fingerprint(self.config))
 
     # -- per-file pass ------------------------------------------------------
 
@@ -158,13 +148,13 @@ class ProjectAnalyzer:
         suppressed: List[Finding] = []
         seen = {}
         for rule in self.graph_rules:
-            severity = self._severity(rule)
             for rel, line, message in rule.check(graph):
                 key = (rel, line, rule.rule_id, message)
                 if key in seen:
                     continue
                 seen[key] = True
-                finding = Finding(rel, line, rule.rule_id, severity, message)
+                finding = Finding(rel, line, rule.rule_id, rule.severity,
+                                  message)
                 summary = graph.summaries.get(rel)
                 if summary is not None and summary.is_suppressed(line, rule.rule_id):
                     suppressed.append(finding)

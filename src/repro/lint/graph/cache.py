@@ -5,7 +5,7 @@ to its content hash, its per-file findings, and its whole-program
 summary.  On a warm run an unchanged file costs one ``sha256`` — no
 parse, no rule execution — and the call graph is rebuilt from cached
 summaries alone.  The fingerprint covers the summary schema version, the
-active rule catalogue (ids and severities), and the lint configuration,
+registered rule catalogue (ids and severities), and the lint configuration,
 so any change to the analyzer invalidates the whole cache rather than
 serving stale results.
 
@@ -16,12 +16,13 @@ file transparently re-analyzed — reports are byte-identical either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Mapping, Optional, Union
 
 from repro.core.atomic import atomic_write_text, read_json_object
 from repro.core.identity import canonical_json, content_key
+from repro.lint.engine import all_graph_rules, all_rules
 from repro.lint.findings import Finding, Severity
 from repro.lint.graph.summary import SUMMARY_VERSION, FileSummary
 
@@ -40,35 +41,34 @@ CACHE_VERSION = 1
 DEFAULT_CACHE_DIR = ".lint_cache"
 
 
-def ruleset_fingerprint(config, rules, graph_rules) -> str:
+def _canonical(value):
+    """A config value as JSON-stable data (sets sorted, mappings keyed)."""
+    if isinstance(value, (set, frozenset)):
+        return sorted(_canonical(v) for v in value)
+    if isinstance(value, (list, tuple)):
+        return [_canonical(v) for v in value]
+    if isinstance(value, Mapping):
+        return {k: _canonical(value[k]) for k in sorted(value)}
+    return value
+
+
+def ruleset_fingerprint(config) -> str:
     """Stable hex key for (schema, rule catalogue, configuration).
 
-    Any difference — a rule added or re-severitied, a config knob
-    flipped, a summary-schema bump — yields a different fingerprint and
-    therefore a disjoint cache file.
+    Any difference — a rule added or re-severitied, a config field
+    changed, a summary-schema bump — yields a different fingerprint and
+    therefore a disjoint cache file.  The configuration part covers every
+    :class:`~repro.lint.config.LintConfig` field, so a new field can never
+    be left out.
     """
     payload = {
         "cache_version": CACHE_VERSION,
         "summary_version": SUMMARY_VERSION,
-        "rules": [[r.rule_id, r.severity.value, r.scope] for r in rules],
-        "graph_rules": [[r.rule_id, r.severity.value] for r in graph_rules],
-        "config": {
-            "model_packages": sorted(config.model_packages),
-            "rng_entrypoints": sorted(config.rng_entrypoints),
-            "units_definition_files": sorted(config.units_definition_files),
-            "span_emitter_files": sorted(config.span_emitter_files),
-            "parallelism_packages": sorted(config.parallelism_packages),
-            "disabled_rules": sorted(config.disabled_rules),
-            "layers": [list(layer) for layer in config.layers],
-            "restricted_imports": {
-                k: sorted(v) for k, v in sorted(config.restricted_imports.items())
-            },
-            "worker_entrypoints": list(config.worker_entrypoints),
-            "atomic_write_files": sorted(config.atomic_write_files),
-            "severity_overrides": {
-                k: v.value for k, v in sorted(config.severity_overrides.items())
-            },
-        },
+        "rules": [[r.rule_id, r.severity.value, r.scope] for r in all_rules()],
+        "graph_rules": [[r.rule_id, r.severity.value]
+                        for r in all_graph_rules()],
+        "config": {f.name: _canonical(getattr(config, f.name))
+                   for f in fields(config)},
     }
     return content_key(payload, 16)
 

@@ -6,11 +6,11 @@
 * :mod:`repro.lint.rules.observability` — SL4xx, metric naming and span pairing
 * :mod:`repro.lint.rules.parallel` — SL5xx, parallelism containment
 * :mod:`repro.lint.rules.taint` — SL6xx, transitive-determinism taint
-  (whole-program, via ``repro lint --graph``)
+  (whole-program, over the project call graph)
 * :mod:`repro.lint.rules.layering` — SL9xx, architecture layering
-  (whole-program, via ``repro lint --graph``)
+  (whole-program, over the project call graph)
 * :mod:`repro.lint.rules.conc` — SL10xx, cross-process concurrency
-  safety (whole-program, via ``repro lint --graph``)
+  safety (whole-program, over the project call graph)
 """
 
 from repro.lint.rules import (  # noqa: F401

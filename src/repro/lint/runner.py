@@ -8,24 +8,28 @@ pytest gate.  Exit codes are a stable contract:
 * **2** — the analysis itself failed: unparseable file (``SL001``),
   unreadable baseline, bad paths.
 
-``--graph`` upgrades the run to whole-program analysis
+Every run is one whole-program analysis
 (:class:`repro.lint.graph.ProjectAnalyzer`): per-file rules plus the
-SL6xx/SL9xx/SL10xx call-graph families, accelerated by the
-``.lint_cache/`` incremental store.  ``run_graph_export`` backs ``repro
-lint graph`` (call-graph stats).  ``--fix`` hands the findings to the
-autofix engine (:mod:`repro.lint.fix`) instead of gating on them.
+SL6xx/SL9xx/SL10xx call-graph families, accelerated by the incremental
+store in ``.lint_cache/`` (``--cache-dir`` moves it, ``--no-cache``
+skips it).  ``run_graph_export`` backs ``repro lint graph`` (call-graph
+stats).  ``--fix`` hands the findings to the autofix engine
+(:mod:`repro.lint.fix`) instead of gating on them.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.lint.baseline import Baseline
 from repro.lint.config import DEFAULT_CONFIG, LintConfig
-from repro.lint.engine import PARSE_ERROR_RULE, LintEngine, LintReport
+from repro.lint.engine import PARSE_ERROR_RULE
 from repro.lint.findings import Finding, Severity
+from repro.lint.graph.analyzer import (AnalysisResult, ProjectAnalyzer,
+                                       _iter_files)
+from repro.lint.graph.cache import DEFAULT_CACHE_DIR
 from repro.lint.sarif import render_sarif
 
 __all__ = ["run_lint", "run_graph_export", "default_scan_root",
@@ -78,8 +82,6 @@ def _git_changed_paths(roots: Sequence[Path],
 
 def _changed_rels(roots: Sequence[Path], changed: Set[Path]) -> Set[str]:
     """Scan-relative rels of the changed files under the scan roots."""
-    from repro.lint.graph.analyzer import _iter_files
-
     rels: Set[str] = set()
     for root in roots:
         for path, rel, _rootdir in _iter_files(root):
@@ -111,30 +113,27 @@ def discover_baseline(roots: Sequence[Path]) -> Optional[Path]:
     return None
 
 
-def _analyze(roots: Sequence[Path], config: Optional[LintConfig],
-             graph: bool, cache_dir: Optional[Union[str, Path]],
-             no_cache: bool) -> Tuple[LintReport, Set[str], object]:
-    """Run per-file or whole-program analysis.
+def _analyze(paths: Optional[Sequence[Union[str, Path]]],
+             config: Optional[LintConfig],
+             cache_dir: Optional[Union[str, Path]], no_cache: bool,
+             out: Callable[[str], None],
+             ) -> Optional[Tuple[List[Path], AnalysisResult]]:
+    """Validate the scan roots and the config, then run the analysis.
 
-    Returns ``(report, active_rule_ids, analysis_result_or_None)``.
-    ``active_rule_ids`` drives baseline staleness: only rules that
-    actually executed may declare a grandfathered finding fixed.
+    Returns ``(roots, result)``, or None once the reason the analysis
+    cannot run has been reported (exit 2).
     """
-    if graph:
-        from repro.lint.graph import ProjectAnalyzer
-
-        resolved_cache = None if no_cache else (cache_dir or ".lint_cache")
-        analyzer = ProjectAnalyzer(config=config, cache_dir=resolved_cache)
-        result = analyzer.run(roots)
-        active = {r.rule_id for r in analyzer.engine.active_rules()}
-        active |= {r.rule_id for r in analyzer.graph_rules}
-        active.add(PARSE_ERROR_RULE)
-        return result.report, active, result
-    engine = LintEngine(config=config)
-    report = engine.lint_paths(roots)
-    active = {r.rule_id for r in engine.active_rules()}
-    active.add(PARSE_ERROR_RULE)
-    return report, active, None
+    roots = [Path(p) for p in paths] if paths else [default_scan_root()]
+    missing = [r for r in roots if not r.exists()]
+    if missing:
+        for r in missing:
+            out(f"error: no such file or directory: {r}")
+        return None
+    if _config_errors(config, out):
+        return None
+    resolved_cache = None if no_cache else (cache_dir or DEFAULT_CACHE_DIR)
+    analyzer = ProjectAnalyzer(config=config, cache_dir=resolved_cache)
+    return roots, analyzer.run(roots)
 
 
 def run_lint(
@@ -144,7 +143,6 @@ def run_lint(
     no_baseline: bool = False,
     update_baseline: bool = False,
     config: Optional[LintConfig] = None,
-    graph: bool = False,
     cache_dir: Optional[Union[str, Path]] = None,
     no_cache: bool = False,
     fix: bool = False,
@@ -156,9 +154,7 @@ def run_lint(
 
     Returns a process exit code (see module docstring).
     ``update_baseline`` rewrites the baseline to cover exactly the
-    current findings — preserving entries for registered rules that did
-    not run in this invocation, dropping entries for ids no rule
-    registers — and exits 0.  ``fix`` hands the kept and baselined
+    current findings and exits 0.  ``fix`` hands the kept and baselined
     findings to the autofix engine and prints unified diffs instead of
     gating; ``dry_run`` previews without writing.  ``changed`` scopes
     *reporting* to files changed vs git HEAD (plus untracked): the
@@ -167,20 +163,17 @@ def run_lint(
     unchanged remainder nearly free — but findings, the gate, and
     ``--fix`` apply to changed files only.
     """
-    roots = [Path(p) for p in paths] if paths else [default_scan_root()]
-    missing = [r for r in roots if not r.exists()]
-    if missing:
-        for r in missing:
-            out(f"error: no such file or directory: {r}")
+    if changed and update_baseline:
+        out("error: --changed cannot be combined with --update-baseline "
+            "(a partial view must not rewrite the whole baseline)")
         return 2
-    if _config_errors(config, out):
+    analysis = _analyze(paths, config, cache_dir, no_cache, out)
+    if analysis is None:
         return 2
+    roots, result = analysis
+    report = result.report
     changed_rels: Optional[Set[str]] = None
     if changed:
-        if update_baseline:
-            out("error: --changed cannot be combined with --update-baseline "
-                "(a partial view must not rewrite the whole baseline)")
-            return 2
         changed_paths = _git_changed_paths(roots, out)
         if changed_paths is None:
             return 2
@@ -188,8 +181,6 @@ def run_lint(
         if not changed_rels:
             out("--changed: no changed files under the scanned roots")
             return 0
-    report, active_rules, _result = _analyze(
-        roots, config, graph, cache_dir, no_cache)
 
     baseline = Baseline()
     resolved_baseline: Optional[Path] = None
@@ -209,16 +200,11 @@ def run_lint(
 
     if update_baseline:
         target = resolved_baseline or (Path.cwd() / BASELINE_FILENAME)
-        fresh = Baseline.from_findings(report.findings, previous=baseline)
-        # Keep grandfathered debt for rule families that did not execute
-        # here (e.g. SL6xx entries during a per-file-only run).
-        fresh.entries.extend(baseline.deferred(active_rules))
-        fresh.save(target)
+        Baseline.from_findings(report.findings, previous=baseline).save(target)
         out(f"wrote {len(report.findings)} finding(s) to {target}")
         return 0
 
-    kept, baselined, stale = baseline.filter(report.findings,
-                                             active_rules=active_rules)
+    kept, baselined, stale = baseline.filter(report.findings)
     if changed_rels is not None:
         kept = [f for f in kept if f.file in changed_rels]
         baselined = [f for f in baselined if f.file in changed_rels]
@@ -266,7 +252,6 @@ def _run_fix(roots: Sequence[Path], kept: Sequence[Finding],
     shrinks.
     """
     from repro.lint.fix import fix_findings
-    from repro.lint.graph.analyzer import _iter_files
 
     rel_paths = {}
     for root in roots:
@@ -294,18 +279,10 @@ def run_graph_export(
     out: Callable[[str], None] = print,
 ) -> int:
     """``repro lint graph``: project call-graph and cache stats."""
-    from repro.lint.graph import ProjectAnalyzer
-
-    roots = [Path(p) for p in paths] if paths else [default_scan_root()]
-    missing = [r for r in roots if not r.exists()]
-    if missing:
-        for r in missing:
-            out(f"error: no such file or directory: {r}")
+    analysis = _analyze(paths, config, cache_dir, no_cache, out)
+    if analysis is None:
         return 2
-    if _config_errors(config, out):
-        return 2
-    resolved_cache = None if no_cache else (cache_dir or ".lint_cache")
-    result = ProjectAnalyzer(config=config, cache_dir=resolved_cache).run(roots)
+    _roots, result = analysis
     stats = result.graph.stats()
     for key in sorted(stats):
         out(f"{key}: {stats[key]}")

@@ -14,11 +14,14 @@ A PBR rule at r1 steers traffic sourced in hostA's prefix and destined to
 AS300 via the exchange — the pacificwave mechanism in miniature.
 """
 
+import time
 from pathlib import Path
 
 import pytest
 
-from repro.lint import DEFAULT_CONFIG, LintEngine
+from repro.lint import run_lint
+from repro.lint.graph import ProjectAnalyzer
+from repro.lint.runner import BASELINE_FILENAME, default_scan_root
 from repro.net import (
     ASGraph,
     AutonomousSystem,
@@ -32,14 +35,46 @@ from repro.net import (
 )
 from repro.units import mbps, ms
 
-REPRO_TREE = Path(__file__).resolve().parents[1] / "src" / "repro"
+BASELINE_PATH = Path(__file__).resolve().parents[1] / BASELINE_FILENAME
+
+
+def lint_repro(cache_dir, **kw):
+    """A lint of the installed ``src/repro`` against the checked-in
+    baseline: its exit code, its output, and the analysis behind it."""
+    buf, results = [], []
+    analyze = ProjectAnalyzer.run
+
+    def keep(self, roots):
+        results.append(analyze(self, roots))
+        return results[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ProjectAnalyzer, "run", keep)
+        code = run_lint([default_scan_root()], cache_dir=cache_dir,
+                        baseline_path=BASELINE_PATH, out=buf.append, **kw)
+    return code, "\n".join(buf), results[0]
 
 
 @pytest.fixture(scope="session")
-def tree_report():
-    """One per-file lint of the whole ``src/repro`` tree under the default
-    config, shared by every test that gates on the real tree."""
-    return LintEngine(config=DEFAULT_CONFIG).lint_tree(REPRO_TREE)
+def cold_lint(tmp_path_factory):
+    """The one timed cold lint of ``src/repro``: a JSON run into a fresh
+    cache directory.  Every other test that needs the real tree reads its
+    report, or re-runs the lint warm from its cache (the cache never
+    changes a report; ``uncached_lint`` in test_lint_graph checks that).
+
+    Returns ``(cache_dir, exit_code, output, analysis, seconds)``.
+    """
+    cache_dir = tmp_path_factory.mktemp("lint") / "cache"
+    t0 = time.perf_counter()
+    code, out, result = lint_repro(cache_dir, fmt="json")
+    return cache_dir, code, out, result, time.perf_counter() - t0
+
+
+@pytest.fixture(scope="session")
+def tree_report(cold_lint):
+    """The whole-program report of ``src/repro`` under the default config,
+    shared by every test that gates on the real tree."""
+    return cold_lint[3].report
 
 
 @pytest.fixture

@@ -170,7 +170,7 @@ class TestLintCli:
             "    for name in {\"b\", \"a\"}:\n"
             "        out.append(name)\n", encoding="utf-8")
         before = (tree / "mod.py").read_text(encoding="utf-8")
-        assert main(["lint", str(tmp_path), "--no-baseline",
+        assert main(["lint", str(tmp_path), "--no-baseline", "--no-cache",
                      "--fix", "--dry-run"]) == 0
         out = capsys.readouterr().out
         assert "1 finding(s) fixable in 1 file(s)" in out

@@ -6,7 +6,7 @@ to an uncached run.
 """
 
 import json
-from pathlib import Path
+from dataclasses import fields, replace
 
 import pytest
 
@@ -38,14 +38,17 @@ FILES = {
 }
 
 
-@pytest.fixture
-def proj(tmp_path):
-    root = tmp_path / "proj"
-    for rel, source in FILES.items():
+def _write_project(root, files):
+    for rel, source in files.items():
         path = root / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(source, encoding="utf-8")
     return root
+
+
+@pytest.fixture
+def proj(tmp_path):
+    return _write_project(tmp_path / "proj", FILES)
 
 
 def _payload(result):
@@ -137,12 +140,8 @@ def test_config_change_changes_fingerprint(proj, tmp_path):
 
 
 def test_fingerprint_is_deterministic():
-    a1 = ProjectAnalyzer(config=CFG)
-    a2 = ProjectAnalyzer(config=CFG)
-    fp1 = ruleset_fingerprint(a1.config, a1.engine.active_rules(),
-                              a1.graph_rules)
-    fp2 = ruleset_fingerprint(a2.config, a2.engine.active_rules(),
-                              a2.graph_rules)
+    fp1 = ruleset_fingerprint(CFG)
+    fp2 = ruleset_fingerprint(LintConfig(model_packages=frozenset({"sim"})))
     assert fp1 == fp2
     assert len(fp1) == 16
 
@@ -198,24 +197,43 @@ def test_stale_fingerprint_filename_is_never_read(proj, tmp_path):
     assert _payload(result) == _payload(reference)
 
 
-def test_v3_config_fields_change_fingerprint():
-    """layers / restricted_imports / worker_entrypoints /
-    atomic_write_files are part of the rule-set fingerprint: changing any
-    of them must invalidate caches (a warm cache from an older config
-    must never mask SL9xx/SL10xx findings)."""
-    from dataclasses import replace
+#: FILES plus an observability module reading a wall clock, so that
+#: ``profiler_files`` decides whether SL403 fires.
+PROFILED_FILES = dict(FILES, **{
+    "obs/__init__.py": "",
+    "obs/other.py": (
+        "import time\n\n\n"
+        "def lap():\n"
+        "    return time.perf_counter()\n"
+    ),
+})
 
-    def fp_of(config):
-        analyzer = ProjectAnalyzer(config=config)
-        return ruleset_fingerprint(analyzer.config,
-                                   analyzer.engine.active_rules(),
-                                   analyzer.graph_rules)
+#: One changed value per LintConfig field.  A field missing here fails
+#: the test below, so a new field cannot escape the fingerprint.
+FIELD_VARIANTS = {
+    "model_packages": frozenset({"sim", "util"}),
+    "rng_entrypoints": frozenset({"util/clockish.py"}),
+    "units_definition_files": frozenset({"util/helpers.py"}),
+    "span_emitter_files": frozenset({"util/helpers.py"}),
+    "profiler_files": frozenset({"obs/other.py"}),
+    "parallelism_packages": frozenset({"util"}),
+    "layers": (("util",), ("sim",)),
+    "restricted_imports": {"util": frozenset({"sim"})},
+    "worker_entrypoints": ("sim.engine.step",),
+    "atomic_write_files": frozenset({"util/helpers.py"}),
+}
 
-    base = fp_of(CFG)
-    assert fp_of(replace(CFG, layers=(("sim",), ("util",)))) != base
-    assert fp_of(replace(
-        CFG, restricted_imports={"sim": frozenset({"cli"})})) != base
-    assert fp_of(replace(
-        CFG, worker_entrypoints=("sim.engine.step",))) != base
-    assert fp_of(replace(
-        CFG, atomic_write_files=frozenset({"sim/atomic.py"}))) != base
+
+@pytest.mark.parametrize("name", sorted(f.name for f in fields(LintConfig)))
+def test_every_config_field_keys_the_cache(tmp_path, name):
+    """Changing any config field yields a new fingerprint, and a cache
+    warmed under the old config never changes the new config's report."""
+    root = _write_project(tmp_path / "proj", PROFILED_FILES)
+    variant = replace(CFG, **{name: FIELD_VARIANTS[name]})
+    assert ruleset_fingerprint(variant) != ruleset_fingerprint(CFG)
+
+    cache_dir = tmp_path / "cache"
+    _run(root, cache_dir)
+    warm = ProjectAnalyzer(config=variant, cache_dir=cache_dir).run([root])
+    uncached = ProjectAnalyzer(config=variant).run([root])
+    assert _payload(warm) == _payload(uncached)

@@ -445,7 +445,7 @@ _FIXABLE = (
 
 def _run_fix(root: Path, cfg: LintConfig, **kw):
     sink = io.StringIO()
-    code = run_lint([root], graph=True, no_cache=True, no_baseline=True,
+    code = run_lint([root], no_cache=True, no_baseline=True,
                     config=cfg, out=sink.write, **kw)
     return code, sink.getvalue()
 
@@ -498,7 +498,7 @@ def test_non_dotted_worker_entrypoint_is_config_error(tmp_path):
     root = _project(tmp_path, {"work/ok.py": "def f(x):\n    return x\n"})
     cfg = _conc_cfg("childmain")
     sink = io.StringIO()
-    code = run_lint([root], graph=True, no_cache=True, no_baseline=True,
+    code = run_lint([root], no_cache=True, no_baseline=True,
                     config=cfg, out=sink.write)
     assert code == 2
     assert "SL001" in sink.getvalue()
@@ -510,7 +510,7 @@ def test_absolute_atomic_write_file_is_config_error(tmp_path):
     cfg = _conc_cfg("work.ok.f",
                     atomic_write_files=frozenset({"/abs/atomic.py"}))
     sink = io.StringIO()
-    code = run_lint([root], graph=True, no_cache=True, no_baseline=True,
+    code = run_lint([root], no_cache=True, no_baseline=True,
                     config=cfg, out=sink.write)
     assert code == 2
     assert "atomic_write_files entry '/abs/atomic.py'" in sink.getvalue()

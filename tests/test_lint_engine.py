@@ -8,13 +8,13 @@ from repro.cli import main
 from repro.lint import (
     Baseline,
     BaselineEntry,
-    DEFAULT_CONFIG,
     Finding,
     LintEngine,
     LintReport,
     Severity,
     run_lint,
 )
+from repro.lint.graph import ProjectAnalyzer
 
 CLOCK_SNIPPET = "import time\n\ndef stamp():\n    return time.time()\n"
 
@@ -67,12 +67,6 @@ class TestEngineBehaviour:
         assert [f.rule for f in findings] == ["SL001"]
         assert findings[0].severity is Severity.ERROR
 
-    def test_disabled_rule_is_skipped(self):
-        config = DEFAULT_CONFIG.with_disabled("SL101")
-        findings = LintEngine(config=config).lint_source(
-            CLOCK_SNIPPET, rel="sim/clock.py")
-        assert "SL101" not in {f.rule for f in findings}
-
     def test_findings_sorted_by_location(self):
         src = ("import time\n"
                "def f(acc=[]):\n"
@@ -83,7 +77,7 @@ class TestEngineBehaviour:
     def test_lint_tree_counts_files_and_uses_posix_rel_paths(self, tmp_path):
         write_module(tmp_path, "net/a.py", CLOCK_SNIPPET)
         write_module(tmp_path, "analysis/b.py", "x = 1\n")
-        report = LintEngine().lint_tree(tmp_path)
+        report = ProjectAnalyzer().run([tmp_path]).report
         assert report.files_scanned == 2
         assert [f.file for f in report.findings] == ["net/a.py"]
         assert "\\" not in report.findings[0].file
@@ -167,20 +161,23 @@ class TestRunner:
         """The acceptance fixture: time.time() in a sim module must fail."""
         write_module(tmp_path, "sim/clock.py", CLOCK_SNIPPET)
         lines = []
-        code = run_lint([tmp_path], no_baseline=True, out=lines.append)
+        code = run_lint([tmp_path], no_baseline=True, no_cache=True,
+                        out=lines.append)
         assert code == 1
         assert any("SL101" in line for line in lines)
 
     def test_clean_tree_exits_zero(self, tmp_path):
         write_module(tmp_path, "sim/ok.py", "def f(sim):\n    return sim.now\n")
-        assert run_lint([tmp_path], no_baseline=True, out=lambda s: None) == 0
+        assert run_lint([tmp_path], no_baseline=True, no_cache=True,
+                        out=lambda s: None) == 0
 
     def test_warnings_do_not_fail_the_gate(self, tmp_path):
         write_module(tmp_path, "net/conv.py",
                      "def f(link_bps):\n    speed_mbps = link_bps * 2\n"
                      "    return speed_mbps\n")
         lines = []
-        code = run_lint([tmp_path], no_baseline=True, out=lines.append)
+        code = run_lint([tmp_path], no_baseline=True, no_cache=True,
+                        out=lines.append)
         assert code == 0
         assert any("SL203" in line for line in lines)
 
@@ -188,7 +185,7 @@ class TestRunner:
         write_module(tmp_path, "sim/clock.py", CLOCK_SNIPPET)
         lines = []
         code = run_lint([tmp_path], fmt="json", no_baseline=True,
-                        out=lines.append)
+                        no_cache=True, out=lines.append)
         assert code == 1
         payload = json.loads("\n".join(lines))
         assert set(payload) == {"files_scanned", "findings", "baselined",
@@ -210,7 +207,7 @@ class TestRunner:
         ]).save(baseline_path)
         lines = []
         code = run_lint([tmp_path], baseline_path=baseline_path,
-                        out=lines.append)
+                        no_cache=True, out=lines.append)
         assert code == 0
         assert any("stale" in line for line in lines)
         # Retired rule ids are stale even though no rule of theirs ran.
@@ -220,28 +217,29 @@ class TestRunner:
     def test_nonexistent_scan_path_is_operational_error(self, tmp_path):
         lines = []
         code = run_lint([tmp_path / "no_such_dir"], no_baseline=True,
-                        out=lines.append)
+                        no_cache=True, out=lines.append)
         assert code == 2
         assert any("no such file" in line for line in lines)
 
     def test_missing_explicit_baseline_is_operational_error(self, tmp_path):
         write_module(tmp_path, "sim/ok.py", "x = 1\n")
         code = run_lint([tmp_path], baseline_path=tmp_path / "nope.json",
-                        out=lambda s: None)
+                        no_cache=True, out=lambda s: None)
         assert code == 2
 
     def test_corrupt_baseline_is_operational_error(self, tmp_path):
         write_module(tmp_path, "sim/ok.py", "x = 1\n")
         bad = tmp_path / "lint_baseline.json"
         bad.write_text("not json", encoding="utf-8")
-        code = run_lint([tmp_path], baseline_path=bad, out=lambda s: None)
+        code = run_lint([tmp_path], baseline_path=bad, no_cache=True,
+                        out=lambda s: None)
         assert code == 2
 
     def test_update_baseline_writes_file_and_next_run_is_clean(self, tmp_path):
         write_module(tmp_path, "sim/clock.py", CLOCK_SNIPPET)
         baseline_path = tmp_path / "lint_baseline.json"
-        # Prior entries: graph-rule debt this per-file run cannot judge,
-        # and two retired rule ids.
+        # Prior entries: graph-rule debt whose finding is gone, and two
+        # retired rule ids.
         Baseline(entries=[
             BaselineEntry("net/engine.py", "SL802", justification="retired"),
             BaselineEntry("util/__init__.py", "SL904",
@@ -250,37 +248,40 @@ class TestRunner:
                           justification="graph debt"),
         ]).save(baseline_path)
         code = run_lint([tmp_path], baseline_path=baseline_path,
-                        update_baseline=True, out=lambda s: None)
+                        update_baseline=True, no_cache=True,
+                        out=lambda s: None)
         assert code == 0
         data = json.loads(baseline_path.read_text(encoding="utf-8"))
         assert data["version"] == 1
         assert data["entries"][0]["file"] == "sim/clock.py"
         assert data["entries"][0]["rule"] == "SL101"
-        # SL601 did not run and is kept; the retired ids are dropped.
+        # Every rule ran, so the paid-off SL601 debt and the retired ids
+        # are all dropped.
         assert [(e["file"], e["rule"]) for e in data["entries"]] == [
-            ("sim/clock.py", "SL101"), ("util/clockish.py", "SL601")]
+            ("sim/clock.py", "SL101")]
         # the freshly written baseline makes the same tree pass
         assert run_lint([tmp_path], baseline_path=baseline_path,
-                        out=lambda s: None) == 0
+                        no_cache=True, out=lambda s: None) == 0
 
 
 class TestCli:
     def test_cli_lint_dirty_tree_exits_one(self, tmp_path, capsys):
         write_module(tmp_path, "sim/clock.py", CLOCK_SNIPPET)
-        code = main(["lint", str(tmp_path), "--no-baseline"])
+        code = main(["lint", str(tmp_path), "--no-cache", "--no-baseline"])
         assert code == 1
         assert "SL101" in capsys.readouterr().out
 
     def test_cli_lint_json_format(self, tmp_path, capsys):
         write_module(tmp_path, "sim/clock.py", CLOCK_SNIPPET)
-        code = main(["lint", str(tmp_path), "--no-baseline", "--format", "json"])
+        code = main(["lint", str(tmp_path), "--no-cache", "--no-baseline",
+                     "--format", "json"])
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["findings"][0]["rule"] == "SL101"
 
     def test_cli_lint_clean_tree_exits_zero(self, tmp_path, capsys):
         write_module(tmp_path, "net/ok.py", "def f(rng):\n    return rng.random()\n")
-        code = main(["lint", str(tmp_path), "--no-baseline"])
+        code = main(["lint", str(tmp_path), "--no-cache", "--no-baseline"])
         assert code == 0
         assert "0 error(s)" in capsys.readouterr().out
 
@@ -290,6 +291,7 @@ class TestCli:
         Baseline(entries=[
             BaselineEntry("sim/clock.py", "SL101", justification="fixture"),
         ]).save(baseline_path)
-        code = main(["lint", str(tmp_path), "--baseline", str(baseline_path)])
+        code = main(["lint", str(tmp_path), "--no-cache",
+                     "--baseline", str(baseline_path)])
         assert code == 0
         assert "1 baselined" in capsys.readouterr().out

@@ -18,9 +18,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import LintEngine, run_lint
+from repro.lint import run_lint
 from repro.lint.config import LintConfig
 from repro.lint.fix import FIXABLE_RULES, apply_edits, fix_findings, plan_edits
+from repro.lint.graph import ProjectAnalyzer
 
 pytestmark = pytest.mark.lint
 
@@ -45,7 +46,7 @@ def _project(tmp_path: Path, files: dict) -> Path:
 
 def _fix_tree(root: Path, config=CFG):
     """Lint *root*, fix everything fixable, return the FixResult."""
-    findings = LintEngine(config=config).lint_tree(root).findings
+    findings = ProjectAnalyzer(config=config).run([root]).report.findings
     rel_paths = {p.relative_to(root).as_posix(): p
                  for p in root.rglob("*.py")}
     return fix_findings(findings, rel_paths)
@@ -161,7 +162,7 @@ MIXED_CFG = LintConfig(model_packages=frozenset({"sim"}), layers=(),
 
 def _run_lint_fix(root, **kw):
     sink = io.StringIO()
-    code = run_lint([root], graph=True, no_cache=True, no_baseline=True,
+    code = run_lint([root], no_cache=True, no_baseline=True,
                     config=MIXED_CFG, fix=True,
                     out=lambda s: sink.write(s + "\n"), **kw)
     return code, sink.getvalue()
@@ -184,7 +185,7 @@ def test_fixed_tree_relints_clean(tmp_path):
     root = _project(tmp_path, MIXED_FILES)
     _run_lint_fix(root)
     sink = io.StringIO()
-    code = run_lint([root], graph=True, no_cache=True, no_baseline=True,
+    code = run_lint([root], no_cache=True, no_baseline=True,
                     config=MIXED_CFG, out=lambda s: sink.write(s + "\n"))
     assert code == 0
     for rule in FIXABLE_RULES:
@@ -228,13 +229,16 @@ def test_plan_edits_unknown_rule_returns_none():
 # -- the real tree: fix + byte-determinism -----------------------------
 
 
-def test_fixed_src_repro_stays_byte_deterministic(tmp_path):
+def test_fixed_src_repro_stays_byte_deterministic(tmp_path, cold_lint):
     """Run the fixer over a copy of ``src/repro`` and re-run the RNG
-    byte-determinism suite against the fixed copy in a subprocess."""
+    byte-determinism suite against the fixed copy in a subprocess.
+
+    The copy has the real tree's relative paths and bytes, so its lint is
+    served warm from the session's cold run."""
     src = tmp_path / "src"
     shutil.copytree(REPO_ROOT / "src" / "repro", src / "repro")
     sink = io.StringIO()
-    code = run_lint([src / "repro"], graph=True, no_cache=True,
+    code = run_lint([src / "repro"], cache_dir=cold_lint[0],
                     no_baseline=True, fix=True,
                     out=lambda s: sink.write(s + "\n"))
     assert code == 0, sink.getvalue()

@@ -21,13 +21,12 @@ import pytest
 
 from repro.lint import Baseline, LintEngine, run_lint
 from repro.lint.config import DEFAULT_CONFIG, LintConfig
-from repro.lint.graph import ProjectAnalyzer
-from repro.lint.runner import BASELINE_FILENAME, default_scan_root
+from repro.lint.runner import default_scan_root
+from tests.conftest import BASELINE_PATH, lint_repro
 
 pytestmark = pytest.mark.lint
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-BASELINE_PATH = REPO_ROOT / BASELINE_FILENAME
 #: gitignored, so a tier-1 run leaves the working tree clean
 BENCH_PATH = REPO_ROOT / "benchmarks" / "results" / "local" / "BENCH_lint.json"
 
@@ -41,41 +40,15 @@ MIN_WARM_SPEEDUP = 3.0
 #: the best of this many runs so the ledger tracks cache cost, not noise.
 WARM_RUNS = 3
 
-
-def _graph_lint(cache_dir, **kw):
-    """A whole-program lint of src/repro: its exit code, its output, and
-    the analysis the report was made from."""
-    buf, results = [], []
-    analyze = ProjectAnalyzer.run
-
-    def keep(self, roots):
-        results.append(analyze(self, roots))
-        return results[-1]
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ProjectAnalyzer, "run", keep)
-        code = run_lint([default_scan_root()], graph=True, cache_dir=cache_dir,
-                        baseline_path=BASELINE_PATH, out=buf.append, **kw)
-    return code, "\n".join(buf), results[0]
-
-
-@pytest.fixture(scope="module")
-def cold_lint(tmp_path_factory):
-    """The one timed cold run: a JSON lint of src/repro into a fresh cache
-    directory.  The gate and the SARIF run read that cache warm (the cache
-    never changes a report; ``uncached_lint`` checks that), and its
-    analysis is shared by the read-only tests below."""
-    cache_dir = tmp_path_factory.mktemp("graph-lint") / "cache"
-    t0 = time.perf_counter()
-    code, out, result = _graph_lint(cache_dir, fmt="json")
-    return cache_dir, code, out, result, time.perf_counter() - t0
+#: The per-file determinism family the analyzer must pass on itself.
+DETERMINISM_RULES = frozenset({"SL101", "SL102", "SL103", "SL104"})
 
 
 @pytest.fixture(scope="module")
 def uncached_lint():
     """The second fresh run: a cache-free JSON lint of src/repro, which
     the cold run's report and analysis must equal byte for byte."""
-    return _graph_lint(None, fmt="json", no_cache=True)
+    return lint_repro(None, fmt="json", no_cache=True)
 
 
 @pytest.fixture(scope="module")
@@ -84,8 +57,8 @@ def cold_result(cold_lint):
 
 
 def test_graph_gate_src_repro_is_clean(cold_lint):
-    code, out, _ = _graph_lint(cold_lint[0])
-    assert code == 0, f"repro lint --graph found new violations:\n{out}"
+    code, out, _ = lint_repro(cold_lint[0])
+    assert code == 0, f"repro lint found new violations:\n{out}"
 
 
 def test_no_unbaselined_graph_family_findings(cold_result):
@@ -104,7 +77,7 @@ def test_graph_run_byte_deterministic_and_warm_speedup(cold_lint, uncached_lint)
     warm_s = float("inf")
     for _ in range(WARM_RUNS):
         t0 = time.perf_counter()
-        code_warm, out_warm, _ = _graph_lint(cache_dir, fmt="json")
+        code_warm, out_warm, _ = lint_repro(cache_dir, fmt="json")
         warm_s = min(warm_s, time.perf_counter() - t0)
         assert code_cold == code_warm == 0
         assert out_warm == out_cold, \
@@ -149,16 +122,21 @@ def test_unknown_edges_are_recorded_not_dropped(cold_result):
 
 def test_linter_passes_its_own_determinism_rules():
     """The analyzer must satisfy the discipline it enforces: treating
-    ``lint`` as model code turns the SL1xx family on it."""
-    cfg = LintConfig(model_packages=frozenset({"lint"}))
-    report = LintEngine(config=cfg).lint_tree(
-        default_scan_root() / "lint")
-    assert report.findings == [], "\n".join(
-        f.render() for f in report.findings)
+    ``lint`` as model code turns the SL1xx family on it.  Each file is
+    linted at its package-relative path (``lint/...``), which is what
+    puts it inside the ``lint`` model package."""
+    engine = LintEngine(config=LintConfig(model_packages=frozenset({"lint"})))
+    root = default_scan_root()
+    findings = []
+    for path in sorted((root / "lint").rglob("*.py")):
+        findings += engine.lint_source(path.read_text(encoding="utf-8"),
+                                       rel=path.relative_to(root).as_posix())
+    determinism = [f for f in findings if f.rule in DETERMINISM_RULES]
+    assert determinism == [], "\n".join(f.render() for f in determinism)
 
 
 def test_sarif_output_is_valid_and_lists_graph_rules(cold_lint):
-    code, out, _ = _graph_lint(cold_lint[0], fmt="sarif")
+    code, out, _ = lint_repro(cold_lint[0], fmt="sarif")
     assert code == 0
     log = json.loads(out)
     assert log["version"] == "2.1.0"
@@ -169,17 +147,15 @@ def test_sarif_output_is_valid_and_lists_graph_rules(cold_lint):
 
 
 def test_exit_code_contract(tmp_path):
-    # 2: unparseable file, with or without --graph.
+    # 2: unparseable file.
     bad = tmp_path / "bad"
     bad.mkdir()
     (bad / "broken.py").write_text("def f(:\n", encoding="utf-8")
     sink = io.StringIO()
-    assert run_lint([bad], no_baseline=True,
-                    out=sink.write) == 2
-    assert run_lint([bad], no_baseline=True, graph=True, no_cache=True,
+    assert run_lint([bad], no_baseline=True, no_cache=True,
                     out=sink.write) == 2
     # 2: bad paths.
-    assert run_lint([tmp_path / "nope"], no_baseline=True,
+    assert run_lint([tmp_path / "nope"], no_baseline=True, no_cache=True,
                     out=sink.write) == 2
     # 1: a real finding in model code.
     dirty = tmp_path / "dirty" / "sim"
@@ -188,14 +164,14 @@ def test_exit_code_contract(tmp_path):
         "import time\n\n\ndef step():\n    return time.time()\n",
         encoding="utf-8")
     cfg = LintConfig(model_packages=frozenset({"sim"}))
-    assert run_lint([tmp_path / "dirty"], no_baseline=True, graph=True,
-                    no_cache=True, config=cfg, out=sink.write) == 1
+    assert run_lint([tmp_path / "dirty"], no_baseline=True, no_cache=True,
+                    config=cfg, out=sink.write) == 1
     # 0: clean tree.
     clean = tmp_path / "clean"
     clean.mkdir()
     (clean / "ok.py").write_text("def f(x):\n    return x\n",
                                  encoding="utf-8")
-    assert run_lint([clean], no_baseline=True, graph=True, no_cache=True,
+    assert run_lint([clean], no_baseline=True, no_cache=True,
                     out=sink.write) == 0
 
 

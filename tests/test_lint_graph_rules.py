@@ -225,22 +225,13 @@ def test_method_call_through_self_resolves(tmp_path):
 # -- baseline interaction -------------------------------------------------
 
 
-def test_graph_rule_baseline_entries_not_stale_in_per_file_run():
-    """A per-file-only run must not mark SL6xx baseline debt as stale.
-
-    Ids no rule registers any more (the retired SL802 and SL904) are
-    never deferred: every run reports them stale.
-    """
+def test_retired_rule_baseline_entries_are_stale():
+    """Ids no rule registers any more (the retired SL802 and SL904) match
+    no finding, so every run reports them stale."""
     baseline = Baseline(entries=[
         BaselineEntry(file="net/engine.py", rule="SL802"),
-        BaselineEntry(file="util/clockish.py", rule="SL601",
-                      justification="known debt"),
         BaselineEntry(file="util/__init__.py", rule="SL904"),
     ])
-    kept, baselined, stale = baseline.filter(
-        [], active_rules={"SL101", "SL201"})
+    kept, baselined, stale = baseline.filter([])
     assert (kept, baselined) == ([], [])
     assert [e.rule for e in stale] == ["SL802", "SL904"]
-    # ...while a run that *did* execute SL601 reports it stale:
-    _, _, stale = baseline.filter([], active_rules={"SL101", "SL601"})
-    assert [e.rule for e in stale] == ["SL802", "SL601", "SL904"]

@@ -161,8 +161,8 @@ def _clean_tree(tmp_path):
 
 def _lint_with(tmp_path, cfg):
     sink = io.StringIO()
-    code = run_lint([_clean_tree(tmp_path)], no_baseline=True, config=cfg,
-                    out=lambda s: sink.write(s + "\n"))
+    code = run_lint([_clean_tree(tmp_path)], no_baseline=True, no_cache=True,
+                    config=cfg, out=lambda s: sink.write(s + "\n"))
     return code, sink.getvalue()
 
 

@@ -6,17 +6,13 @@
 """
 
 import json
-from pathlib import Path
 
 import pytest
 
-from repro.lint import Baseline, Severity, run_lint
-from repro.lint.runner import BASELINE_FILENAME, default_scan_root
+from repro.lint import Baseline, Severity
+from tests.conftest import BASELINE_PATH
 
 pytestmark = pytest.mark.lint
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
-BASELINE_PATH = REPO_ROOT / BASELINE_FILENAME
 
 
 def test_baseline_file_is_checked_in_and_loadable():
@@ -29,9 +25,8 @@ def test_baseline_file_is_checked_in_and_loadable():
             f"justification, not a TODO marker")
 
 
-def test_repro_tree_is_clean_modulo_baseline(capsys):
-    code = run_lint([default_scan_root()], baseline_path=BASELINE_PATH)
-    out = capsys.readouterr().out
+def test_repro_tree_is_clean_modulo_baseline(cold_lint):
+    _, code, out, _, _ = cold_lint
     assert code == 0, f"repro lint found new violations:\n{out}"
 
 
@@ -50,10 +45,9 @@ def test_repro_tree_error_findings_are_fully_grandfathered(tree_report):
     assert new_errors == [], "\n".join(f.render() for f in new_errors)
 
 
-def test_json_gate_output_parses(capsys):
-    code = run_lint([default_scan_root()], fmt="json",
-                    baseline_path=BASELINE_PATH)
-    payload = json.loads(capsys.readouterr().out)
+def test_json_gate_output_parses(cold_lint):
+    _, code, out, _, _ = cold_lint
+    payload = json.loads(out)
     assert code in (0, 1)
     assert payload["files_scanned"] > 50  # the whole package, not a subset
     for finding in payload["findings"]:
