@@ -16,19 +16,25 @@ matter to the paper's measurements:
 :class:`TcpModel` converts a resolved path into :class:`TcpPathParams` and
 answers two questions: the flow's *rate ceiling* (fed to the max-min
 allocator) and the *startup penalty* (extra time before fluid service
-begins, given the initial rate).
+begins, given the initial rate).  :class:`TcpFlow` applies both to one
+connection's bulk flows in the network engine.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Generator, Optional
 
 from repro import units
 from repro.obs.metrics import DURATION_BUCKETS, MetricsRegistry
 
-__all__ = ["TcpPathParams", "TcpModel", "mathis_ceiling_bps", "slow_start_penalty_s"]
+if TYPE_CHECKING:
+    from repro.net.engine import NetworkEngine
+    from repro.net.routing import ResolvedPath, Router
+
+__all__ = ["TcpPathParams", "TcpModel", "TcpFlow", "mathis_ceiling_bps",
+           "slow_start_penalty_s"]
 
 #: Mathis et al. constant for periodic loss, sqrt(3/2).
 MATHIS_C = math.sqrt(1.5)
@@ -139,3 +145,36 @@ class TcpModel:
     def request_response_time_s(self, path: TcpPathParams, server_time_s: float = 0.0) -> float:
         """Cost of one small request/response exchange on a warm connection."""
         return path.rtt_s + server_time_s
+
+
+class TcpFlow:
+    """One TCP connection's engine flows over a resolved path: its
+    :class:`TcpPathParams` (*params* overrides the path's own), its
+    interned directions and its per-flow ceiling (loss ceiling or
+    middlebox cap, whichever is tighter)."""
+
+    __slots__ = ("engine", "tcp", "params", "directions", "ceiling_bps")
+
+    def __init__(self, engine: "NetworkEngine", router: "Router", tcp: TcpModel,
+                 path: "ResolvedPath", params: Optional[TcpPathParams] = None):
+        self.engine = engine
+        self.tcp = tcp
+        self.params = params if params is not None else TcpPathParams(path.rtt_s, path.loss)
+        self.directions = engine.intern(router.path_directions(path))
+        self.ceiling_bps = min(tcp.rate_ceiling_bps(self.params), path.per_flow_cap_bps)
+
+    def send(self, nbytes: float, label: str, ramp: bool = False) -> Generator:
+        """Coroutine: one engine flow of *nbytes*; returns its TransferResult.
+        ``ramp`` (the connection's first flow) adds the slow-start deficit
+        at the rate the engine would give the flow now."""
+        deficit_bytes = 0.0
+        if ramp:
+            est = self.engine.estimate_rate(self.directions, self.ceiling_bps)
+            if est > 0 and math.isfinite(est):
+                deficit_bytes = (self.tcp.startup_penalty_s(self.params, est)
+                                 * units.bytes_per_sec(est))
+        transfer = self.engine.start_transfer(
+            self.directions, nbytes, ceiling_bps=self.ceiling_bps, label=label,
+            startup_deficit_bytes=deficit_bytes,
+        )
+        return (yield transfer.done)

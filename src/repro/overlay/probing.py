@@ -14,7 +14,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro import units
 from repro.core.world import World
 from repro.errors import SelectionError
-from repro.net.tcp import TcpPathParams
 from repro.transfer.files import FileSpec
 from repro.transfer.rsync import RsyncSession
 
@@ -115,9 +114,8 @@ class ProbeMesh:
         except RoutingError:
             self.estimate(src, dst).mark_unreachable(world.sim.now)
             return 0.0
-        params = TcpPathParams(rtt_s=path.rtt_s, loss=path.loss)
         # ping: one round trip
-        yield params.rtt_s
+        yield path.rtt_s
         # bulk probe: a small rsync-style transfer
         self._serial += 1
         session = RsyncSession(world.engine, world.router, world.tcp)

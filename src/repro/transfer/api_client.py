@@ -10,7 +10,7 @@ time, and the final commit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -19,11 +19,10 @@ from repro import units
 from repro.cloud.http import HttpsSession
 from repro.cloud.provider import CloudProvider
 from repro.cloud.oauth import TokenCache
-from repro.errors import CloudApiError
 from repro.net.dns import DnsResolver
 from repro.net.engine import NetworkEngine
 from repro.net.routing import Router
-from repro.net.tcp import TcpModel, TcpPathParams
+from repro.net.tcp import TcpFlow, TcpModel, TcpPathParams
 from repro.obs.metrics import RATE_BUCKETS, MetricsRegistry
 from repro.obs.spans import SpanTracer
 from repro.sim.kernel import Simulator
@@ -174,6 +173,72 @@ class CloudClient:
         refreshed, _ = yield from self._ensure_token(host, provider, events)
         return refreshed
 
+    # -- the three phases of every API transfer ----------------------------------
+
+    def _open(self, host: str, provider: CloudProvider, flow: TcpFlow,
+              init_label: str, events: List):
+        """Coroutine: token, TLS connect and session init on *flow*'s path;
+        returns ``(session, token, token_fetched)``."""
+        token, token_fetched = yield from self._ensure_token(host, provider, events)
+        # TLS connect + session initiation (retried on transient errors)
+        session = self._session(provider, flow.params)
+        yield from session.connect()
+        yield from session.request(
+            self._jitter(provider.protocol.session_init_server_s,
+                         provider.protocol.server_jitter_sigma),
+            label=init_label,
+        )
+        events.append((self.sim.now, init_label))
+        return session, token, token_fetched
+
+    def _put_chunk(self, session: HttpsSession, flow: TcpFlow, provider: CloudProvider,
+                   chunk: float, label: str, request_label: str, ramp: bool = False):
+        """Coroutine: one chunk's payload over *flow*, then its request."""
+        proto = provider.protocol
+        yield from flow.send(chunk + proto.request_overhead_bytes, label, ramp=ramp)
+        yield from session.request(
+            self._jitter(proto.per_chunk_server_s, proto.server_jitter_sigma),
+            label=request_label,
+        )
+        self._m_chunks.inc(provider=provider.name)
+
+    def _send_chunks(self, session: HttpsSession, flow: TcpFlow, provider: CloudProvider,
+                     size_bytes: float, label: str, request_label: str, events: List):
+        """Coroutine: the chunk loop; the first chunk pays the slow-start
+        ramp.  Returns the chunk count."""
+        proto = provider.protocol
+        sizes = proto.chunk_sizes(size_bytes)
+        for index, chunk in enumerate(sizes):
+            with self.spans.span("transfer.api", f"chunk#{index}", bytes=int(chunk)):
+                yield from self._put_chunk(
+                    session, flow, provider, chunk, f"{label}#{index}",
+                    f"{request_label} {index}", ramp=index == 0,
+                )
+            events.append((self.sim.now,
+                           proto.chunk_request_name.replace("{index}", str(index))))
+        return len(sizes)
+
+    def _commit(self, host: str, provider: CloudProvider, session: HttpsSession,
+                token, spec: FileSpec, remote_path: str, events: List):
+        """Coroutine: the commit request, then the object lands in the store."""
+        proto = provider.protocol
+        token = yield from self._refresh_if_expired(host, provider, token, events)
+        yield from session.request(
+            self._jitter(proto.commit_server_s, proto.server_jitter_sigma),
+            label=proto.commit_request_name,
+        )
+        events.append((self.sim.now, proto.commit_request_name))
+
+        # The commit request itself takes time, so a token that was
+        # valid when it was sent can be expired by the time the server
+        # checks it — re-check at validation time (the 401-retry a
+        # real SDK would absorb).
+        token = yield from self._refresh_if_expired(host, provider, token, events)
+        provider.oauth.validate(token.value, self.sim.now)
+        provider.store.put(
+            remote_path, spec.size_bytes, spec.content_digest(), owner=host, now=self.sim.now,
+        )
+
     # -- uploads -------------------------------------------------------------
 
     def upload(
@@ -188,74 +253,18 @@ class CloudClient:
         events: List[Tuple[float, str]] = []
         proto = provider.protocol
         frontend = provider.frontend_for(self.dns, src)
-        path = self.router.resolve(src, frontend)
-        params = TcpPathParams(rtt_s=path.rtt_s, loss=path.loss)
+        flow = TcpFlow(self.engine, self.router, self.tcp, self.router.resolve(src, frontend))
 
         with self.spans.span("transfer.api", f"upload:{spec.name}",
                              provider=provider.name, src=src,
                              bytes=int(spec.size_bytes)):
-            token, token_fetched = yield from self._ensure_token(src, provider, events)
-
-            # TLS connect + session initiation (retried on transient errors)
-            session = self._session(provider, params)
-            yield from session.connect()
-            yield from session.request(
-                self._jitter(proto.session_init_server_s, proto.server_jitter_sigma),
-                label=proto.init_request_name,
-            )
-            events.append((self.sim.now, proto.init_request_name))
-
-            directions = self.engine.intern(self.router.path_directions(path))
-            ceiling = min(self.tcp.rate_ceiling_bps(params), path.per_flow_cap_bps)
-            sizes = proto.chunk_sizes(spec.size_bytes)
-            for index, chunk in enumerate(sizes):
-                deficit_bytes = 0.0
-                if index == 0:
-                    est = self.engine.estimate_rate(directions, ceiling)
-                    if est > 0 and np.isfinite(est):
-                        deficit_bytes = (
-                            self.tcp.startup_penalty_s(params, est)
-                            * units.bytes_per_sec(est)
-                        )
-                with self.spans.span("transfer.api", f"chunk#{index}",
-                                     bytes=int(chunk)):
-                    transfer = self.engine.start_transfer(
-                        directions,
-                        chunk + proto.request_overhead_bytes,
-                        ceiling_bps=ceiling,
-                        label=f"api:{provider.name}:{src}:{spec.name}#{index}",
-                        startup_deficit_bytes=deficit_bytes,
-                    )
-                    yield transfer.done
-                    yield from session.request(
-                        self._jitter(proto.per_chunk_server_s, proto.server_jitter_sigma),
-                        label=f"chunk {index}",
-                    )
-                self._m_chunks.inc(provider=provider.name)
-                events.append((self.sim.now,
-                               proto.chunk_request_name.replace("{index}", str(index))))
-
-            # commit / finalize
-            token = yield from self._refresh_if_expired(src, provider, token, events)
-            yield from session.request(
-                self._jitter(proto.commit_server_s, proto.server_jitter_sigma),
-                label=proto.commit_request_name,
-            )
-            events.append((self.sim.now, proto.commit_request_name))
-
-            # The commit request itself takes time, so a token that was
-            # valid when it was sent can be expired by the time the server
-            # checks it — re-check at validation time (the 401-retry a
-            # real SDK would absorb).
-            token = yield from self._refresh_if_expired(src, provider, token, events)
-            provider.oauth.validate(token.value, self.sim.now)
-            provider.store.put(
-                remote_path or spec.name,
-                spec.size_bytes,
-                spec.content_digest(),
-                owner=src,
-                now=self.sim.now,
-            )
+            session, token, token_fetched = yield from self._open(
+                src, provider, flow, proto.init_request_name, events)
+            chunk_count = yield from self._send_chunks(
+                session, flow, provider, spec.size_bytes,
+                f"api:{provider.name}:{src}:{spec.name}", "chunk", events)
+            yield from self._commit(src, provider, session, token, spec,
+                                    remote_path or spec.name, events)
         self._m_uploads.inc(provider=provider.name)
         duration = self.sim.now - start
         self._m_upload_s.observe(duration, provider=provider.name)
@@ -271,7 +280,7 @@ class CloudClient:
             size_bytes=spec.size_bytes,
             start_time=start,
             end_time=self.sim.now,
-            chunk_count=len(sizes),
+            chunk_count=chunk_count,
             token_fetched=token_fetched,
             events=tuple(events),
         )
@@ -282,52 +291,22 @@ class CloudClient:
         """Coroutine: download *remote_path* to host *dst*; returns DownloadReport."""
         start = self.sim.now
         events: List[Tuple[float, str]] = []
-        proto = provider.protocol
         frontend = provider.frontend_for(self.dns, dst)
         obj = provider.store.get(remote_path)  # 404 surfaces before any traffic
 
         up_path = self.router.resolve(dst, frontend)       # request direction
         down_path = self.router.resolve(frontend, dst)     # data direction
-        params = TcpPathParams(rtt_s=up_path.rtt_s, loss=down_path.loss)
+        flow = TcpFlow(self.engine, self.router, self.tcp, down_path,
+                       TcpPathParams(rtt_s=up_path.rtt_s, loss=down_path.loss))
 
         with self.spans.span("transfer.api", f"download:{remote_path}",
                              provider=provider.name, dst=dst,
                              bytes=int(obj.size_bytes)):
-            yield from self._ensure_token(dst, provider, events)
-            session = self._session(provider, params)
-            yield from session.connect()
-            yield from session.request(
-                self._jitter(proto.session_init_server_s, proto.server_jitter_sigma),
-                label="GET (ranged download start)",
-            )
-
-            directions = self.engine.intern(self.router.path_directions(down_path))
-            ceiling = min(self.tcp.rate_ceiling_bps(params), down_path.per_flow_cap_bps)
-            sizes = proto.chunk_sizes(obj.size_bytes)
-            for index, chunk in enumerate(sizes):
-                deficit_bytes = 0.0
-                if index == 0:
-                    est = self.engine.estimate_rate(directions, ceiling)
-                    if est > 0 and np.isfinite(est):
-                        deficit_bytes = (
-                            self.tcp.startup_penalty_s(params, est)
-                            * units.bytes_per_sec(est)
-                        )
-                with self.spans.span("transfer.api", f"chunk#{index}",
-                                     bytes=int(chunk)):
-                    transfer = self.engine.start_transfer(
-                        directions,
-                        chunk + proto.request_overhead_bytes,
-                        ceiling_bps=ceiling,
-                        label=f"api-dl:{provider.name}:{dst}:{remote_path}#{index}",
-                        startup_deficit_bytes=deficit_bytes,
-                    )
-                    yield transfer.done
-                    yield from session.request(
-                        self._jitter(proto.per_chunk_server_s, proto.server_jitter_sigma),
-                        label=f"dl chunk {index}",
-                    )
-                self._m_chunks.inc(provider=provider.name)
+            session, _, _ = yield from self._open(
+                dst, provider, flow, "GET (ranged download start)", events)
+            chunk_count = yield from self._send_chunks(
+                session, flow, provider, obj.size_bytes,
+                f"api-dl:{provider.name}:{dst}:{remote_path}", "dl chunk", events)
         self._m_downloads.inc(provider=provider.name)
         return DownloadReport(
             provider=provider.name,
@@ -337,5 +316,5 @@ class CloudClient:
             size_bytes=obj.size_bytes,
             start_time=start,
             end_time=self.sim.now,
-            chunk_count=len(sizes),
+            chunk_count=chunk_count,
         )

@@ -15,7 +15,7 @@ module supplies:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Dict, Generator, List, Optional
 
@@ -66,6 +66,14 @@ class DataTransferNode:
             from repro.sim.resources import Resource
 
             self.sessions = Resource(sim, self.max_sessions, name=f"dtn:{self.host}")
+
+    def hold(self, work: Generator) -> Generator:
+        """Coroutine: run relay *work* holding one session slot (directly
+        when the DTN has no session limit); returns what *work* returns.
+        Every detour form takes its slot here."""
+        if self.sessions is None:
+            return (yield from work)
+        return (yield from self.sessions.using(work))
 
     # -- staging -------------------------------------------------------------
 

@@ -18,14 +18,13 @@ general case (and for the DTN cache extension).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import List, Optional, Tuple, Union
 
-from repro import units
 from repro.errors import TransferError
 from repro.net.engine import NetworkEngine, TransferResult
-from repro.net.routing import ResolvedPath, Router
-from repro.net.tcp import TcpModel, TcpPathParams
+from repro.net.routing import Router
+from repro.net.tcp import TcpFlow, TcpModel
 from repro.transfer.checksums import (
     BlockSignature,
     RollingChecksum,
@@ -212,28 +211,16 @@ class RsyncSession:
 
         Must be driven by the simulation kernel (``yield from``).
         """
-        path = self.router.resolve(src, dst)
-        params = TcpPathParams(rtt_s=path.rtt_s, loss=path.loss)
+        flow = TcpFlow(self.engine, self.router, self.tcp, self.router.resolve(src, dst))
+        params = flow.params
         stats = self.plan(spec, basis)
 
         # TCP + ssh handshakes, then the file-list / signature exchange.
         yield self.tcp.connect_time_s(params)
         yield self.SSH_HANDSHAKE_RTTS * params.rtt_s
         yield self.tcp.request_response_time_s(params)  # file list + sig request
-
-        directions = self.engine.intern(self.router.path_directions(path))
-        ceiling = min(self.tcp.rate_ceiling_bps(params), path.per_flow_cap_bps)
-        est = self.engine.estimate_rate(directions, ceiling)
-        deficit_s = self.tcp.startup_penalty_s(params, est) if est > 0 else 0.0
-        deficit_bytes = deficit_s * units.bytes_per_sec(est)
-        transfer = self.engine.start_transfer(
-            directions,
-            stats.wire_bytes,
-            ceiling_bps=ceiling,
-            label=f"rsync:{src}->{dst}:{spec.name}",
-            startup_deficit_bytes=deficit_bytes,
-        )
-        result: TransferResult = yield transfer.done
+        result: TransferResult = yield from flow.send(
+            stats.wire_bytes, f"rsync:{src}->{dst}:{spec.name}", ramp=True)
         # final ack / close
         yield params.rtt_s
         return result, stats
