@@ -421,18 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-cache", action="store_true", dest="no_cache",
                    help="analyze from scratch, neither reading nor writing "
                         "the cache")
-    p.add_argument("--changed", action="store_true",
-                   help="lint only files changed vs git HEAD (plus "
-                        "untracked); the whole program is still analyzed "
-                        "(cache-warm) but findings are reported for "
-                        "changed files only")
-    p.add_argument("--fix", action="store_true",
-                   help="auto-repair fixable findings (SL104 sorted-"
-                        "iteration, SL201 units constants, SL1002 atomic-"
-                        "write protocol) with token-preserving rewrites, "
-                        "printing unified diffs")
-    p.add_argument("--dry-run", action="store_true", dest="dry_run",
-                   help="with --fix: print the diffs without writing files")
     return parser
 
 
@@ -826,7 +814,7 @@ def _cmd_campaign(args) -> int:
         campaign_status,
         export_campaign,
     )
-    from repro.obs import MetricsRegistry, render_metrics_table, render_prometheus
+    from repro.obs import MetricsRegistry
 
     spec = _campaign_spec(args)
 
@@ -862,13 +850,8 @@ def _cmd_campaign(args) -> int:
         print(f"executed {result.executed}, cached {result.cached}, "
               f"quarantined {result.errors}"
               + (f"; store: {store.root}" if store is not None else ""))
-        if args.metrics == "-":
-            print()
-            print(render_metrics_table(registry))
-        elif args.metrics:
-            with open(args.metrics, "w", encoding="utf-8") as fp:
-                fp.write(render_prometheus(registry))
-            print(f"wrote Prometheus metrics to {args.metrics}")
+        if args.metrics:
+            _write_cli_metrics(registry, args.metrics)
         return 0 if result.errors == 0 else 1
 
     store = _campaign_store(args, required=True)
@@ -968,15 +951,7 @@ def _cmd_broker(args) -> int:
               f"evictions {result.directory_evictions}, "
               f"admission spills {result.admission_spills}")
         if registry is not None:
-            from repro.obs import render_metrics_table, render_prometheus
-
-            if args.metrics == "-":
-                print()
-                print(render_metrics_table(registry))
-            else:
-                with open(args.metrics, "w", encoding="utf-8") as fp:
-                    fp.write(render_prometheus(registry))
-                print(f"wrote Prometheus metrics to {args.metrics}")
+            _write_cli_metrics(registry, args.metrics)
         if profiler is not None:
             _write_profile_exports(profiler, args)
         return 0
@@ -1002,21 +977,11 @@ def _cmd_broker(args) -> int:
         print()
         print(summary.render())
         if args.metrics:
-            from repro.obs import (
-                MetricsRegistry,
-                render_metrics_table,
-                render_prometheus,
-            )
+            from repro.obs import MetricsRegistry
 
             registry = MetricsRegistry()
             summary.to_metrics(registry)
-            if args.metrics == "-":
-                print()
-                print(render_metrics_table(registry))
-            else:
-                with open(args.metrics, "w", encoding="utf-8") as fp:
-                    fp.write(render_prometheus(registry))
-                print(f"wrote Prometheus metrics to {args.metrics}")
+            _write_cli_metrics(registry, args.metrics)
         return 0
 
     # export
@@ -1088,9 +1053,6 @@ def _cmd_lint(args) -> int:
         update_baseline=args.update_baseline,
         cache_dir=args.cache_dir,
         no_cache=args.no_cache,
-        fix=args.fix,
-        dry_run=args.dry_run,
-        changed=args.changed,
     )
 
 

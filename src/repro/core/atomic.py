@@ -12,8 +12,7 @@ complete document or the new complete document, never a torn one.
 
 This module is the *only* sanctioned implementation of that shape; the
 ``SL1002`` lint rule (:mod:`repro.lint.rules.conc`) flags hand-rolled
-copies and non-atomic durable writes elsewhere, and ``repro lint --fix``
-rewrites simple ones to call in here.
+copies and non-atomic durable writes elsewhere.
 
 * :func:`atomic_write_text` / :func:`atomic_write_bytes` /
   :func:`atomic_write_json` — one-shot replacements for

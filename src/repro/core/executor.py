@@ -102,6 +102,20 @@ class PlanExecutor:
         (the staged file occupies the DTN until it is uploaded); the plan's
         clock starts before the slot wait, so queueing counts in ``total_s``.
         """
+        if isinstance(plan.route, DirectRoute):
+            body = self._execute_direct(plan)
+        else:
+            dtn = self.world.dtn_of(plan.route.via_site)
+            relay = (self._execute_store_and_forward
+                     if plan.route.mode is RelayMode.STORE_AND_FORWARD
+                     else self._execute_pipelined)
+            body = dtn.hold(relay(plan, dtn))
+        return (yield from self._observed(plan, body))
+
+    def _observed(self, plan: TransferPlan, body):
+        """Run *body* (a coroutine returning ``(legs, token_fetched)``) as
+        one plan: in a ``plan:`` span, timed from now, and counted in the
+        plan and leg metrics."""
         world = self.world
         start = world.sim.now
         route = plan.route.describe()
@@ -110,14 +124,7 @@ class PlanExecutor:
             client=plan.client_site, provider=plan.provider_name,
             bytes=int(plan.file.size_bytes),
         ):
-            if isinstance(plan.route, DirectRoute):
-                legs, token_fetched = yield from self._execute_direct(plan)
-            else:
-                dtn = world.dtn_of(plan.route.via_site)
-                relay = (self._execute_store_and_forward
-                         if plan.route.mode is RelayMode.STORE_AND_FORWARD
-                         else self._execute_pipelined)
-                legs, token_fetched = yield from dtn.hold(relay(plan, dtn))
+            legs, token_fetched = yield from body
         result = PlanResult(plan, start, world.sim.now, legs, token_fetched)
         self._m_plans.inc(route=route, provider=plan.provider_name)
         self._m_plan_s.observe(result.total_s, route=route)
@@ -145,22 +152,24 @@ class PlanExecutor:
         same machinery in reverse and are reported as an extension.
         """
         world = self.world
-        start = world.sim.now
         client_host = world.host_of(plan.client_site)
         provider = world.provider(plan.provider_name)
         path = remote_path or plan.file.name
 
         if isinstance(plan.route, DirectRoute):
-            report = yield from self.cloud_client.download(client_host, provider, path)
-            legs = (LegResult("api", report.frontend, client_host,
-                              report.duration_s, report.size_bytes),)
+            body = self._download_direct(client_host, provider, path)
         else:
             if plan.route.mode is not RelayMode.STORE_AND_FORWARD:
                 raise TransferError("pipelined detoured downloads are not supported")
             dtn = world.dtn_of(plan.route.via_site)
-            legs = yield from dtn.hold(
+            body = dtn.hold(
                 self._download_via(dtn, client_host, provider, path, plan.file.seed))
-        return PlanResult(plan, start, world.sim.now, legs)
+        return (yield from self._observed(plan, body))
+
+    def _download_direct(self, client_host: str, provider, path: str):
+        report = yield from self.cloud_client.download(client_host, provider, path)
+        return (LegResult("api", report.frontend, client_host,
+                          report.duration_s, report.size_bytes),), False
 
     def _download_via(self, dtn: DataTransferNode, client_host: str, provider, path: str,
                       seed: int):
@@ -175,7 +184,7 @@ class PlanExecutor:
         yield from self.rsync.push(dtn.host, client_host, staged)
         leg2 = LegResult("rsync", dtn.host, client_host,
                          world.sim.now - leg2_start, report.size_bytes)
-        return leg1, leg2
+        return (leg1, leg2), False
 
     # -- direct --------------------------------------------------------------
 

@@ -19,15 +19,10 @@ whole-program analyses of :mod:`repro.lint.graph`:
   / hash-order sinks anywhere in the tree back to model-code callers,
   through the project call graph;
 * **architecture layering** (SL9xx) — upward imports against the
-  declared layer DAG, cross-package private-module imports, and import
-  cycles;
+  declared layer DAG and cross-package private-module imports;
 * **concurrency safety** (SL10xx) — shared-state mutation, non-atomic
   durable writes, shared-tier read-modify-writes and RNG escapes in
   code reachable from the configured ``worker_entrypoints``.
-
-``repro lint --fix`` (see :mod:`repro.lint.fix`) auto-repairs the
-fixable rules with token-preserving rewrites; ``--dry-run`` previews
-diffs.
 
 The analyzer is stdlib-``ast`` based (no third-party dependencies) and is
 wired into the CLI (``python -m repro.cli lint``) and the test suite
@@ -43,17 +38,13 @@ from repro.lint.config import (
     LintConfig,
 )
 from repro.lint.engine import (
-    GRAPH_RULES,
-    GraphRule,
     LintEngine,
     LintReport,
     Rule,
     RULES,
-    all_graph_rules,
     all_rules,
 )
 from repro.lint.findings import Finding, Severity
-from repro.lint.fix import FIXABLE_RULES, FixResult, fix_findings
 from repro.lint.runner import run_graph_export, run_lint
 from repro.lint.sarif import render_sarif, to_sarif
 
@@ -65,20 +56,14 @@ __all__ = [
     "BaselineEntry",
     "DEFAULT_CONFIG",
     "DEFAULT_LAYERS",
-    "FIXABLE_RULES",
     "Finding",
-    "FixResult",
-    "GRAPH_RULES",
-    "GraphRule",
     "LintConfig",
     "LintEngine",
     "LintReport",
     "RULES",
     "Rule",
     "Severity",
-    "all_graph_rules",
     "all_rules",
-    "fix_findings",
     "render_sarif",
     "run_graph_export",
     "run_lint",

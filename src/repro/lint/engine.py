@@ -1,10 +1,13 @@
-"""Rule registry and the analysis engine.
+"""Rule registry and the per-file analysis engine.
 
-A rule is a function ``check(ctx) -> iterable of (lineno, message)``
-registered under a stable id (``SL101``...).  The engine parses each
-file once, runs every applicable rule, attaches severities, and filters
-``# simlint: ignore[RULE]`` suppressions.  Baseline filtering happens a
-layer up (:mod:`repro.lint.baseline`) so reports can show both views.
+A rule is a check registered under a stable id (``SL101``...) with a
+scope: ``model`` and ``tree`` rules run per file, ``check(ctx) ->
+iterable of (lineno, message)``; ``graph`` rules run once over the
+project call graph, ``check(graph) -> iterable of (rel, lineno,
+message)``.  Both kinds go through one filter, :func:`triage`, which
+dedupes, attaches severities and applies ``# simlint: ignore[RULE]``
+suppressions.  Baseline filtering happens a layer up
+(:mod:`repro.lint.baseline`) so reports can show both views.
 """
 
 from __future__ import annotations
@@ -17,20 +20,19 @@ from repro.lint.context import FileContext
 from repro.lint.findings import Finding, Severity
 
 __all__ = [
-    "Rule", "RULES", "rule", "all_rules",
-    "GraphRule", "GRAPH_RULES", "graph_rule", "all_graph_rules",
+    "Rule", "RULES", "rule", "all_rules", "parse_error", "triage",
     "LintEngine", "LintReport",
 ]
 
-CheckFn = Callable[[FileContext], Iterable[Tuple[int, str]]]
-
-#: Whole-program checks yield (rel path, lineno, message) triples.
-GraphCheckFn = Callable[[object], Iterable[Tuple[str, int, str]]]
+CheckFn = Callable[[object], Iterable[tuple]]
 
 #: Scope of a rule: ``model`` rules only run on files inside the
-#: configured model packages; ``tree`` rules run on every file.
+#: configured model packages; ``tree`` rules run on every file;
+#: ``graph`` rules run once over the whole-program graph.
 MODEL = "model"
 TREE = "tree"
+GRAPH = "graph"
+SCOPES = (MODEL, TREE, GRAPH)
 
 #: Reserved id for files the engine cannot parse at all.
 PARSE_ERROR_RULE = "SL001"
@@ -47,9 +49,9 @@ class Rule:
     check: CheckFn
 
     def applies_to(self, ctx: FileContext) -> bool:
-        if self.scope == MODEL and not ctx.in_model_code:
-            return False
-        return True
+        """Whether this is a per-file rule that runs on *ctx*."""
+        return self.scope == TREE or (self.scope == MODEL
+                                      and ctx.in_model_code)
 
 
 RULES: Dict[str, Rule] = {}
@@ -57,8 +59,8 @@ RULES: Dict[str, Rule] = {}
 
 def rule(rule_id: str, summary: str, *, severity: Severity = Severity.ERROR,
          scope: str = TREE) -> Callable[[CheckFn], CheckFn]:
-    """Class/function decorator registering a check under ``rule_id``."""
-    if scope not in (MODEL, TREE):
+    """Function decorator registering a check under ``rule_id``."""
+    if scope not in SCOPES:
         raise ValueError(f"unknown rule scope {scope!r}")
 
     def deco(fn: CheckFn) -> CheckFn:
@@ -70,51 +72,42 @@ def rule(rule_id: str, summary: str, *, severity: Severity = Severity.ERROR,
     return deco
 
 
-def all_rules() -> List[Rule]:
-    """The shipped catalogue, sorted by id (import side effects included)."""
+def all_rules(scopes: Tuple[str, ...] = (MODEL, TREE)) -> List[Rule]:
+    """The shipped rules of *scopes* (default: the per-file ones), by id."""
     import repro.lint.rules  # noqa: F401  -- ensure registration ran
 
-    return sorted(RULES.values(), key=lambda r: r.rule_id)
+    return sorted((r for r in RULES.values() if r.scope in scopes),
+                  key=lambda r: r.rule_id)
 
 
-@dataclass(frozen=True)
-class GraphRule:
-    """A whole-program check running over the project call graph.
+def parse_error(rel: str, exc: SyntaxError) -> Finding:
+    """The ``SL001`` finding for a file that does not parse."""
+    return Finding(rel, exc.lineno or 1, PARSE_ERROR_RULE, Severity.ERROR,
+                   f"cannot parse: {exc.msg}")
 
-    Unlike per-file :class:`Rule` checks, a graph rule sees every file at
-    once (a :class:`repro.lint.graph.ProjectGraph`) and yields findings
-    as ``(rel, lineno, message)`` triples — the analysis driver attaches
-    severities and applies suppressions.
+
+def triage(hits: Iterable[Tuple[Rule, str, int, str]],
+           is_suppressed: Callable[[str, int, str], bool],
+           report: "LintReport") -> List[Finding]:
+    """Turn ``(rule, rel, line, message)`` hits into findings.
+
+    Repeated hits are dropped; suppressed findings are appended to
+    ``report.suppressed`` and the rest are returned sorted.
     """
-
-    rule_id: str
-    summary: str
-    severity: Severity
-    check: GraphCheckFn
-
-
-GRAPH_RULES: Dict[str, GraphRule] = {}
-
-
-def graph_rule(rule_id: str, summary: str, *,
-               severity: Severity = Severity.ERROR
-               ) -> Callable[[GraphCheckFn], GraphCheckFn]:
-    """Decorator registering a whole-program check under ``rule_id``."""
-
-    def deco(fn: GraphCheckFn) -> GraphCheckFn:
-        if rule_id in RULES or rule_id in GRAPH_RULES:
-            raise ValueError(f"duplicate rule id {rule_id}")
-        GRAPH_RULES[rule_id] = GraphRule(rule_id, summary, severity, fn)
-        return fn
-
-    return deco
-
-
-def all_graph_rules() -> List[GraphRule]:
-    """The shipped whole-program catalogue, sorted by id."""
-    import repro.lint.rules  # noqa: F401  -- ensure registration ran
-
-    return sorted(GRAPH_RULES.values(), key=lambda r: r.rule_id)
+    kept: List[Finding] = []
+    seen = set()
+    for r, rel, line, message in hits:
+        key = (rel, line, r.rule_id, message)
+        if key in seen:
+            continue
+        seen.add(key)
+        finding = Finding(rel, line, r.rule_id, r.severity, message)
+        if is_suppressed(rel, line, r.rule_id):
+            report.suppressed.append(finding)
+        else:
+            kept.append(finding)
+    kept.sort(key=Finding.sort_key)
+    return kept
 
 
 @dataclass
@@ -157,8 +150,7 @@ class LintEngine:
         try:
             ctx = FileContext.from_source(source, rel, self.config)
         except SyntaxError as exc:
-            finding = Finding(rel, exc.lineno or 1, PARSE_ERROR_RULE,
-                              Severity.ERROR, f"cannot parse: {exc.msg}")
+            finding = parse_error(rel, exc)
             report.findings.append(finding)
             return [finding]
         return self.lint_context(ctx, report)
@@ -167,22 +159,9 @@ class LintEngine:
                      report: Optional[LintReport] = None) -> List[Finding]:
         """Run the per-file rules over an already-parsed context."""
         report = report if report is not None else LintReport()
-        rel = ctx.rel
-        out: List[Finding] = []
-        seen = set()
-        for r in self._rules:
-            if not r.applies_to(ctx):
-                continue
-            for lineno, message in r.check(ctx):
-                key = (rel, lineno, r.rule_id, message)
-                if key in seen:
-                    continue
-                seen.add(key)
-                finding = Finding(rel, lineno, r.rule_id, r.severity, message)
-                if ctx.is_suppressed(lineno, r.rule_id):
-                    report.suppressed.append(finding)
-                else:
-                    out.append(finding)
-        out.sort(key=Finding.sort_key)
+        hits = ((r, ctx.rel, line, message) for r in self._rules
+                if r.applies_to(ctx) for line, message in r.check(ctx))
+        out = triage(hits, lambda _rel, line, rule_id:
+                     ctx.is_suppressed(line, rule_id), report)
         report.findings.extend(out)
         return out

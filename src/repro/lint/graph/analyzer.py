@@ -8,8 +8,9 @@ One :class:`ProjectAnalyzer` run:
    :mod:`repro.lint.graph.cache`);
 3. rebuilds the project call graph from the (cached + fresh) summaries;
 4. runs the registered whole-program rules (SL6xx taint, SL9xx
-   layering, SL10xx concurrency) over the graph, applying inline
-   suppressions exactly like the per-file engine.
+   layering, SL10xx concurrency) over the graph, through the same
+   dedupe and suppression filter as the per-file rules
+   (:func:`~repro.lint.engine.triage`).
 
 The resulting :class:`~repro.lint.engine.LintReport` is byte-identical
 whether the cache was cold, warm, stale, or corrupt — the cache is an
@@ -26,12 +27,14 @@ from typing import Dict, List, Optional, Sequence, Union
 from repro.lint.config import DEFAULT_CONFIG, LintConfig
 from repro.lint.context import FileContext
 from repro.lint.engine import (
-    PARSE_ERROR_RULE,
+    GRAPH,
     LintEngine,
     LintReport,
-    all_graph_rules,
+    all_rules,
+    parse_error,
+    triage,
 )
-from repro.lint.findings import Finding, Severity
+from repro.lint.findings import Finding
 from repro.lint.graph.cache import (
     CacheEntry,
     CacheStats,
@@ -78,13 +81,15 @@ class ProjectAnalyzer:
                  cache_dir: Optional[Union[str, Path]] = None):
         self.config = config or DEFAULT_CONFIG
         self.engine = LintEngine(config=self.config)
-        self.graph_rules = all_graph_rules()
+        self.graph_rules = all_rules((GRAPH,))
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
 
-    def _open_cache(self) -> Optional[SummaryCache]:
+    def _open_cache(self, root: Path,
+                    stats: CacheStats) -> Optional[SummaryCache]:
         if self.cache_dir is None:
             return None
-        return SummaryCache(self.cache_dir, ruleset_fingerprint(self.config))
+        return SummaryCache(self.cache_dir, ruleset_fingerprint(self.config),
+                            root=root, stats=stats)
 
     # -- per-file pass ------------------------------------------------------
 
@@ -95,8 +100,7 @@ class ProjectAnalyzer:
         try:
             ctx = FileContext.from_source(source, rel, self.config)
         except SyntaxError as exc:
-            finding = Finding(rel, exc.lineno or 1, PARSE_ERROR_RULE,
-                              Severity.ERROR, f"cannot parse: {exc.msg}")
+            finding = parse_error(rel, exc)
             summary = FileSummary(rel=rel, module=module,
                                   parse_error=(exc.lineno or 1, str(exc.msg)))
             return CacheEntry(sha256="", summary=summary, findings=[finding])
@@ -108,12 +112,12 @@ class ProjectAnalyzer:
     # -- the run ------------------------------------------------------------
 
     def run(self, roots: Sequence[Union[str, Path]]) -> AnalysisResult:
-        cache = self._open_cache()
-        stats = cache.stats if cache is not None else CacheStats()
+        stats = CacheStats()
         report = LintReport()
         summaries: Dict[str, FileSummary] = {}
 
         for root in [Path(r) for r in roots]:
+            cache = self._open_cache(root, stats)
             rootpkg = (root.name if root.is_dir() else root.parent.name)
             for path, rel, _rootdir in _iter_files(root):
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
@@ -130,36 +134,22 @@ class ProjectAnalyzer:
                 report.findings.extend(entry.findings)
                 report.suppressed.extend(entry.suppressed)
                 summaries[rel] = entry.summary
+            if cache is not None:
+                cache.save()
 
         graph = build_graph(summaries, self.config)
-        kept, suppressed = self._graph_findings(graph)
-        report.findings.extend(kept)
-        report.suppressed.extend(suppressed)
+        report.findings.extend(self._graph_findings(graph, report))
         report.findings.sort(key=Finding.sort_key)
         report.suppressed.sort(key=Finding.sort_key)
-
-        if cache is not None:
-            cache.save()
         return AnalysisResult(report=report, graph=graph,
                               cache_stats=stats, summaries=summaries)
 
-    def _graph_findings(self, graph: ProjectGraph):
-        kept: List[Finding] = []
-        suppressed: List[Finding] = []
-        seen = {}
-        for rule in self.graph_rules:
-            for rel, line, message in rule.check(graph):
-                key = (rel, line, rule.rule_id, message)
-                if key in seen:
-                    continue
-                seen[key] = True
-                finding = Finding(rel, line, rule.rule_id, rule.severity,
-                                  message)
-                summary = graph.summaries.get(rel)
-                if summary is not None and summary.is_suppressed(line, rule.rule_id):
-                    suppressed.append(finding)
-                else:
-                    kept.append(finding)
-        kept.sort(key=Finding.sort_key)
-        suppressed.sort(key=Finding.sort_key)
-        return kept, suppressed
+    def _graph_findings(self, graph: ProjectGraph,
+                        report: LintReport) -> List[Finding]:
+        """Run the graph rules, suppressing through each file's summary."""
+        def is_suppressed(rel: str, line: int, rule_id: str) -> bool:
+            summary = graph.summaries.get(rel)
+            return summary is not None and summary.is_suppressed(line, rule_id)
+
+        hits = ((r, *hit) for r in self.graph_rules for hit in r.check(graph))
+        return triage(hits, is_suppressed, report)

@@ -1,10 +1,13 @@
 """The incremental analysis cache (``.lint_cache/``).
 
-One JSON document per (rule-set fingerprint), mapping each scanned file
-to its content hash, its per-file findings, and its whole-program
-summary.  On a warm run an unchanged file costs one ``sha256`` — no
-parse, no rule execution — and the call graph is rebuilt from cached
-summaries alone.  The fingerprint covers the summary schema version, the
+One JSON document per (rule-set fingerprint, scan root), mapping each
+file under the root to its content hash, its per-file findings, and its
+whole-program summary.  Each root keeps its own document, so linting
+one tree never evicts another's entries, and an entry can only come
+back under the root (and so the module names) it was computed for.
+On a warm run an unchanged file costs one ``sha256`` — no parse, no
+rule execution — and the call graph is rebuilt from cached summaries
+alone.  The fingerprint covers the summary schema version, the
 registered rule catalogue (ids and severities), and the lint configuration,
 so any change to the analyzer invalidates the whole cache rather than
 serving stale results.
@@ -22,7 +25,7 @@ from typing import Dict, List, Mapping, Optional, Union
 
 from repro.core.atomic import atomic_write_text, read_json_object
 from repro.core.identity import canonical_json, content_key
-from repro.lint.engine import all_graph_rules, all_rules
+from repro.lint.engine import SCOPES, all_rules
 from repro.lint.findings import Finding, Severity
 from repro.lint.graph.summary import SUMMARY_VERSION, FileSummary
 
@@ -64,9 +67,8 @@ def ruleset_fingerprint(config) -> str:
     payload = {
         "cache_version": CACHE_VERSION,
         "summary_version": SUMMARY_VERSION,
-        "rules": [[r.rule_id, r.severity.value, r.scope] for r in all_rules()],
-        "graph_rules": [[r.rule_id, r.severity.value]
-                        for r in all_graph_rules()],
+        "rules": [[r.rule_id, r.severity.value, r.scope]
+                  for r in all_rules(SCOPES)],
         "config": {f.name: _canonical(getattr(config, f.name))
                    for f in fields(config)},
     }
@@ -122,13 +124,21 @@ class CacheEntry:
 
 
 class SummaryCache:
-    """Load/store per-file analysis results under one fingerprint."""
+    """Load/store per-file analysis results under one fingerprint.
 
-    def __init__(self, directory: Union[str, Path], fingerprint: str):
+    ``root`` (a scan root) gives the root its own document next to the
+    others; ``stats`` lets several documents count into one total.
+    """
+
+    def __init__(self, directory: Union[str, Path], fingerprint: str,
+                 root: Optional[Union[str, Path]] = None,
+                 stats: Optional[CacheStats] = None):
         self.directory = Path(directory)
         self.fingerprint = fingerprint
-        self.path = self.directory / f"lint-cache-{fingerprint}.json"
-        self.stats = CacheStats()
+        scope = ("" if root is None
+                 else "-" + content_key(str(Path(root).resolve()), 8))
+        self.path = self.directory / f"lint-cache-{fingerprint}{scope}.json"
+        self.stats = stats if stats is not None else CacheStats()
         self._entries: Dict[str, CacheEntry] = {}
         self._loaded_raw: Dict[str, dict] = {}
         self._load()

@@ -47,7 +47,9 @@ __all__ = [
 #: sites and module-scope bindings for the SL10xx concurrency family.
 #: v4: dropped the SL7xx unit terms, SL8xx perf sites, and the SL904
 #: identifier and ``__all__`` tables.
-SUMMARY_VERSION = 4
+#: v5: dropped the ``*args``/``**kwargs`` flags and the import-site scope
+#: flag (read only by the retired SL903).
+SUMMARY_VERSION = 5
 
 #: Pseudo-function name for statements executed at import time.
 MODULE_BODY = "<module>"
@@ -95,8 +97,6 @@ class FunctionSummary:
     #: Positional-capable parameter names, in order (incl. self/cls).
     posparams: List[str] = field(default_factory=list)
     kwonly: List[str] = field(default_factory=list)
-    vararg: bool = False
-    kwarg: bool = False
     calls: List[CallSite] = field(default_factory=list)
     #: Locally detected sinks: (line, kind); kinds: "set-iter".
     sinks: List[Tuple[int, str]] = field(default_factory=list)
@@ -133,7 +133,6 @@ class FunctionSummary:
         return {
             "q": self.qname, "ln": self.line, "cls": self.cls,
             "pp": self.posparams, "kw": self.kwonly,
-            "va": int(self.vararg), "ka": int(self.kwarg),
             "calls": [c.to_json() for c in self.calls],
             "sinks": [list(s) for s in self.sinks],
             "nested": self.nested,
@@ -149,7 +148,6 @@ class FunctionSummary:
         return cls(
             qname=d["q"], line=d["ln"], cls=d["cls"],
             posparams=list(d["pp"]), kwonly=list(d["kw"]),
-            vararg=bool(d["va"]), kwarg=bool(d["ka"]),
             calls=[CallSite.from_json(c) for c in d["calls"]],
             sinks=[(s[0], s[1]) for s in d["sinks"]],
             nested=dict(d["nested"]),
@@ -181,7 +179,7 @@ class FileSummary:
     suppressions: Dict[int, List[str]] = field(default_factory=dict)
     #: (lineno, message) when the file does not parse.
     parse_error: Optional[Tuple[int, str]] = None
-    #: Import statements as ``[line, bound name, target fq, module_scope]``
+    #: Import statements as ``[line, bound name, target fq]``
     #: (bound name is None for ``from m import *``) — the SL9xx layering
     #: rules work off these, not off the resolved ``imports`` table.
     import_sites: List[list] = field(default_factory=list)
@@ -226,7 +224,7 @@ class FileSummary:
             functions=[FunctionSummary.from_json(f) for f in d["funcs"]],
             suppressions={int(k): list(v) for k, v in d["supp"].items()},
             parse_error=tuple(d["err"]) if d["err"] else None,
-            import_sites=[[s[0], s[1], s[2], bool(s[3])] for s in d["sites"]],
+            import_sites=[list(s) for s in d["sites"]],
             module_globals=list(d["mg"]),
         )
 
@@ -318,8 +316,7 @@ class _Summarizer:
 
     # -- imports ------------------------------------------------------------
 
-    def _record_import(self, node: ast.AST, ctx: "_FuncCtx") -> None:
-        module_scope = ctx.summary.qname == MODULE_BODY
+    def _record_import(self, node: ast.AST) -> None:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.asname:
@@ -330,8 +327,7 @@ class _Summarizer:
                     head = alias.name.split(".", 1)[0]
                     self.out.imports[head] = head
                     bound = head
-                self.out.import_sites.append(
-                    [node.lineno, bound, alias.name, module_scope])
+                self.out.import_sites.append([node.lineno, bound, alias.name])
         elif isinstance(node, ast.ImportFrom):
             base = node.module or ""
             if node.level:
@@ -344,14 +340,12 @@ class _Summarizer:
                 if alias.name == "*":
                     if base not in self.out.star_imports:
                         self.out.star_imports.append(base)
-                    self.out.import_sites.append(
-                        [node.lineno, None, base, module_scope])
+                    self.out.import_sites.append([node.lineno, None, base])
                 else:
                     bound = alias.asname or alias.name
                     self.out.imports[bound] = f"{base}.{alias.name}"
                     self.out.import_sites.append(
-                        [node.lineno, bound, f"{base}.{alias.name}",
-                         module_scope])
+                        [node.lineno, bound, f"{base}.{alias.name}"])
 
     # -- statements ---------------------------------------------------------
 
@@ -370,7 +364,7 @@ class _Summarizer:
     def _walk_stmt(self, st: ast.stmt, ctx: _FuncCtx, prefix: str,
                    cls: Optional[str]) -> None:
         if isinstance(st, (ast.Import, ast.ImportFrom)):
-            self._record_import(st, ctx)
+            self._record_import(st)
         elif isinstance(st, (ast.FunctionDef, ast.AsyncFunctionDef)):
             self._function(st, ctx, prefix, cls)
         elif isinstance(st, ast.ClassDef):
@@ -408,16 +402,6 @@ class _Summarizer:
             self._walk_stmts(st.body, ctx, prefix, cls)
             ctx.loops.pop()
             self._walk_stmts(st.orelse, ctx, prefix, cls)
-        elif isinstance(st, ast.If):
-            self._eval(st.test, ctx)
-            self._walk_stmts(st.body, ctx, prefix, cls)
-            self._walk_stmts(st.orelse, ctx, prefix, cls)
-        elif isinstance(st, (ast.With, ast.AsyncWith)):
-            for item in st.items:
-                self._eval(item.context_expr, ctx)
-                if item.optional_vars is not None:
-                    self._bind_target(item.optional_vars, None, ctx)
-            self._walk_stmts(st.body, ctx, prefix, cls)
         elif isinstance(st, ast.Try):
             self._walk_stmts(st.body, ctx, prefix, cls)
             for handler in st.handlers:
@@ -428,29 +412,30 @@ class _Summarizer:
                 self._walk_stmts(handler.body, ctx, prefix, cls)
             self._walk_stmts(st.orelse, ctx, prefix, cls)
             self._walk_stmts(st.finalbody, ctx, prefix, cls)
-        elif isinstance(st, ast.Expr):
-            self._eval(st.value, ctx)
-        elif isinstance(st, ast.Raise):
-            if st.exc is not None:
-                self._eval(st.exc, ctx)
-            if st.cause is not None:
-                self._eval(st.cause, ctx)
-        elif isinstance(st, ast.Assert):
-            self._eval(st.test, ctx)
-            if st.msg is not None:
-                self._eval(st.msg, ctx)
-        elif isinstance(st, ast.Delete):
-            for t in st.targets:
-                self._eval(t, ctx)
-        elif hasattr(ast, "Match") and isinstance(st, ast.Match):
-            self._eval(st.subject, ctx)
-            for case in st.cases:
-                if case.guard is not None:
-                    self._eval(case.guard, ctx)
-                self._walk_stmts(case.body, ctx, prefix, cls)
         elif isinstance(st, ast.Global):
             ctx.globals_decl.update(st.names)
-        # Nonlocal/Pass/Break/Continue: nothing to record.
+        else:
+            # If/With/Match/Raise/Assert/Delete/Expr/...: no bookkeeping
+            # of their own, only their children's.
+            self._walk_children(st, ctx, prefix, cls)
+
+    def _walk_children(self, node: ast.AST, ctx: _FuncCtx, prefix: str,
+                       cls: Optional[str]) -> None:
+        """Walk every child of *node* in field order.
+
+        Statements go to :meth:`_walk_stmt`, store targets (``with ... as
+        x``) are bound, other expressions are evaluated, and helper nodes
+        (``withitem``, ``match_case``, operators) are walked through.
+        """
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.stmt):
+                self._walk_stmt(child, ctx, prefix, cls)
+            elif isinstance(getattr(child, "ctx", None), ast.Store):
+                self._bind_target(child, None, ctx)
+            elif isinstance(child, ast.expr):
+                self._eval(child, ctx)
+            else:
+                self._walk_children(child, ctx, prefix, cls)
 
     def _function(self, st, ctx: _FuncCtx, prefix: str, cls: Optional[str]) -> None:
         # Decorators and defaults evaluate in the *enclosing* scope.
@@ -471,13 +456,10 @@ class _Summarizer:
         args = st.args
         fn.posparams = [a.arg for a in args.posonlyargs + args.args]
         fn.kwonly = [a.arg for a in args.kwonlyargs]
-        fn.vararg = args.vararg is not None
-        fn.kwarg = args.kwarg is not None
         child.local_names.update(fn.posparams + fn.kwonly)
-        if args.vararg:
-            child.local_names.add(args.vararg.arg)
-        if args.kwarg:
-            child.local_names.add(args.kwarg.arg)
+        for star in (args.vararg, args.kwarg):
+            if star is not None:
+                child.local_names.add(star.arg)
 
         self._walk_stmts(st.body, child, prefix=f"{qname}.", cls=cls)
         self.out.functions.append(fn)
@@ -591,22 +573,10 @@ class _Summarizer:
         """Callee term of an expression; records calls and sites."""
         if isinstance(node, ast.Name):
             return ctx.env.get(node.id)
-        if isinstance(node, ast.Attribute):
-            self._eval(node.value, ctx)
-            return None
         if isinstance(node, ast.Call):
             return self._call(node, ctx)
         if isinstance(node, ast.BinOp):
             return self._binop(node, ctx)
-        if isinstance(node, ast.Compare):
-            self._eval(node.left, ctx)
-            for comp in node.comparators:
-                self._eval(comp, ctx)
-            return None
-        if isinstance(node, ast.BoolOp):
-            for v in node.values:
-                self._eval(v, ctx)
-            return None
         if isinstance(node, ast.UnaryOp):
             return self._eval(node.operand, ctx)
         if isinstance(node, ast.IfExp):
@@ -629,47 +599,20 @@ class _Summarizer:
             else:
                 self._eval(node.elt, ctx)
             return None
-        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
-            for elt in node.elts:
-                self._eval(elt, ctx)
-            return None
-        if isinstance(node, ast.Dict):
-            for k in node.keys:
-                if k is not None:
-                    self._eval(k, ctx)
-            for v in node.values:
-                self._eval(v, ctx)
-            return None
-        if isinstance(node, ast.Subscript):
-            self._eval(node.value, ctx)
-            self._eval(node.slice, ctx)
-            return None
-        if isinstance(node, ast.Slice):
-            for part in (node.lower, node.upper, node.step):
-                if part is not None:
-                    self._eval(part, ctx)
-            return None
-        if isinstance(node, ast.Starred):
+        if isinstance(node, (ast.Starred, ast.Await, ast.YieldFrom)):
             return self._eval(node.value, ctx)
-        if isinstance(node, ast.Lambda):
-            self._eval(node.body, ctx)
-            return None
-        if isinstance(node, (ast.Await, ast.YieldFrom)):
-            return self._eval(node.value, ctx)
-        if isinstance(node, ast.Yield):
-            if node.value is not None:
-                self._eval(node.value, ctx)
-            return None
         if isinstance(node, ast.NamedExpr):
             term = self._eval(node.value, ctx)
             self._bind_target(node.target, term, ctx)
             return term
-        if isinstance(node, ast.JoinedStr):
-            for v in node.values:
-                if isinstance(v, ast.FormattedValue):
-                    self._eval(v.value, ctx)
-            return None
-        return None  # Constant and anything exotic
+        if isinstance(node, ast.Lambda):
+            # Only the body: defaults are not summarized.
+            self._eval(node.body, ctx)
+        else:
+            # Containers, Compare, BoolOp, Subscript, Slice, Yield,
+            # f-strings, constants...: only their children carry facts.
+            self._walk_children(node, ctx, "", None)
+        return None
 
     def _binop(self, node: ast.BinOp, ctx: _FuncCtx) -> Term:
         left = self._eval(node.left, ctx)

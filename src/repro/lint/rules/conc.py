@@ -18,8 +18,7 @@ runner, ``ShardCell.run_measurement``) — and flag the hazards inside it:
   ``json.dump``, ``pickle.dump``, ``np.savez``) bypasses the sanctioned
   atomic-rename protocol in :mod:`repro.core.atomic`; a parallel reader
   can observe a torn file.  Hand-rolled tmp+``os.replace`` copies are
-  flagged too — auto-fixable for the simple ``write_text``/
-  ``write_bytes`` shapes by ``repro lint --fix``.
+  flagged too.
 * **SL1003** — a shared-tier read-modify-write: ``fetch_snapshot`` then
   ``publish_snapshot`` in one function with no freshest-wins
   ``DirectorySnapshot.merged`` between them; two racing shards each
@@ -42,7 +41,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Tuple
 
-from repro.lint.engine import graph_rule
+from repro.lint.engine import GRAPH, rule
 from repro.lint.findings import Severity
 from repro.lint.graph.summary import rng_like_name
 
@@ -95,8 +94,8 @@ def _module_level_head(graph, fsum, head: str) -> bool:
     return target is not None and target.split(".", 1)[0] in graph.roots
 
 
-@graph_rule("SL1001", "worker-reachable mutation of module/class state",
-            severity=Severity.ERROR)
+@rule("SL1001", "worker-reachable mutation of module/class state",
+      severity=Severity.ERROR, scope=GRAPH)
 def worker_shared_state_mutation(graph) -> Iterator[Tuple[str, int, str]]:
     workers = worker_functions(graph)
     for fq in sorted(workers):
@@ -127,8 +126,8 @@ def _write_sinks(graph, fq, fn) -> List[Tuple[int, str]]:
     return sorted(sinks)
 
 
-@graph_rule("SL1002", "durable write outside the atomic-rename protocol",
-            severity=Severity.WARNING)
+@rule("SL1002", "durable write outside the atomic-rename protocol",
+      severity=Severity.WARNING, scope=GRAPH)
 def non_atomic_durable_write(graph) -> Iterator[Tuple[str, int, str]]:
     workers = worker_functions(graph)
     exempt = graph.config.atomic_write_files
@@ -157,8 +156,8 @@ def non_atomic_durable_write(graph) -> Iterator[Tuple[str, int, str]]:
                     f"a torn file — use repro.core.atomic")
 
 
-@graph_rule("SL1003", "unguarded read-modify-write on a shared tier",
-            severity=Severity.ERROR)
+@rule("SL1003", "unguarded read-modify-write on a shared tier",
+      severity=Severity.ERROR, scope=GRAPH)
 def unguarded_tier_read_modify_write(graph) -> Iterator[Tuple[str, int, str]]:
     for fq in sorted(graph.functions):
         fsum, fn = graph.functions[fq]
@@ -195,8 +194,8 @@ def _entrypoint_functions(graph) -> List[str]:
     return matches
 
 
-@graph_rule("SL1004", "RNG state crosses a process or cell boundary",
-            severity=Severity.ERROR)
+@rule("SL1004", "RNG state crosses a process or cell boundary",
+      severity=Severity.ERROR, scope=GRAPH)
 def rng_crosses_process_boundary(graph) -> Iterator[Tuple[str, int, str]]:
     workers = worker_functions(graph)
     for fq in sorted(graph.functions):

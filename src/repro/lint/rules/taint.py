@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.lint.engine import graph_rule
+from repro.lint.engine import GRAPH, rule
 
 __all__ = []
 
@@ -135,16 +135,18 @@ def _by_rule(graph, rule_id: str) -> Iterator[Tuple[str, int, str]]:
             yield rel, line, message
 
 
-@graph_rule("SL601", "wall-clock read reachable from model code")
+@rule("SL601", "wall-clock read reachable from model code", scope=GRAPH)
 def transitive_wall_clock(graph) -> Iterator[Tuple[str, int, str]]:
     return _by_rule(graph, "SL601")
 
 
-@graph_rule("SL602", "OS-entropy randomness reachable from model code")
+@rule("SL602", "OS-entropy randomness reachable from model code",
+      scope=GRAPH)
 def transitive_entropy_rng(graph) -> Iterator[Tuple[str, int, str]]:
     return _by_rule(graph, "SL602")
 
 
-@graph_rule("SL603", "hash-ordered iteration feeding a model-reachable return")
+@rule("SL603", "hash-ordered iteration feeding a model-reachable return",
+      scope=GRAPH)
 def transitive_set_iteration(graph) -> Iterator[Tuple[str, int, str]]:
     return _by_rule(graph, "SL603")

@@ -13,7 +13,7 @@ import json
 from typing import Dict, List, Optional, Sequence
 
 from repro._version import __version__
-from repro.lint.engine import PARSE_ERROR_RULE, all_graph_rules, all_rules
+from repro.lint.engine import PARSE_ERROR_RULE, SCOPES, all_rules
 from repro.lint.findings import Finding, Severity
 
 __all__ = ["SARIF_VERSION", "to_sarif", "render_sarif"]
@@ -34,8 +34,7 @@ def _rule_catalogue() -> List[dict]:
             "defaultConfiguration": {"level": "error"},
         },
     }
-    shipped: List[object] = list(all_rules()) + list(all_graph_rules())
-    for r in shipped:
+    for r in all_rules(SCOPES):
         catalogue[r.rule_id] = {
             "id": r.rule_id,
             "shortDescription": {"text": r.summary},

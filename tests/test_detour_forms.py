@@ -124,3 +124,26 @@ class TestDtnSlotForEveryForm:
             FileSpec("dataset.bin", int(mb(40))), route)))
         assert slots.total_waits == 1
         assert slots.peak_in_use == 1
+
+
+def test_detoured_download_is_a_recorded_plan():
+    """A download is counted and traced like an upload: one plan, one
+    metric sample per leg kind, and one ``plan:`` span."""
+    from repro.obs import extract_span_records
+
+    world = build_case_study(seed=0, cross_traffic=False, trace=True,
+                             metrics=True)
+    _store_dataset(world, size_mb=40)
+    plan = TransferPlan("ubc", "gdrive", FileSpec("dataset.bin", int(mb(40))),
+                        DetourRoute("ualberta"))
+    _drive(world, PlanExecutor(world).execute_download(plan))
+    metrics = world.metrics
+    assert metrics.get("repro_executor_plans_total").value(
+        route="via ualberta", provider="gdrive") == 1
+    assert metrics.get("repro_executor_plan_seconds").count(
+        route="via ualberta") == 1
+    leg_s = metrics.get("repro_executor_leg_seconds")
+    assert (leg_s.count(kind="rsync"), leg_s.count(kind="api")) == (1, 1)
+    plans = [r for r in extract_span_records(world.tracer)
+             if r.component == "core.executor" and r.name.startswith("plan:")]
+    assert [r.name for r in plans] == ["plan:via ualberta"]

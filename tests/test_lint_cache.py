@@ -75,6 +75,24 @@ def test_cold_run_all_misses_then_warm_run_all_hits(proj, tmp_path):
     assert _payload(warm) == _payload(cold)
 
 
+def test_each_tree_keeps_its_own_entries(proj, tmp_path):
+    """Linting another tree from the same cache directory neither evicts
+    this tree's entries nor serves them back under the other root."""
+    cache_dir = tmp_path / "cache"
+    other = _write_project(tmp_path / "other", {
+        "__init__.py": "",
+        "util/__init__.py": "",
+        "util/helpers.py": "def half(x):\n    return x / 2\n",
+    })
+    _run(proj, cache_dir)
+    assert _run(other, cache_dir).summaries["__init__.py"].module == "other"
+    again = _run(proj, cache_dir)
+    assert again.cache_stats.hits == len(FILES)
+    assert again.cache_stats.misses == 0
+    assert again.summaries["__init__.py"].module == "proj"
+    assert again.summaries["util/helpers.py"].module == "proj.util.helpers"
+
+
 def test_mutating_one_file_recomputes_only_that_summary(proj, tmp_path):
     cache_dir = tmp_path / "cache"
     _run(proj, cache_dir)

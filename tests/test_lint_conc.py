@@ -5,9 +5,8 @@ whole-program analyzer over it with a purpose-built
 :class:`~repro.lint.config.LintConfig` whose ``worker_entrypoints``
 point at fixture functions — then asserts on exactly which findings
 fire.  Every true-positive fixture has a non-finding twin next to it,
-so the tests pin both halves of each rule's contract.  The fix tests at
-the bottom pin the SL1002 rewriter's byte-idempotence, and the
-validation tests pin the SL001 / exit-2 contract for structural
+so the tests pin both halves of each rule's contract.  The validation
+tests at the bottom pin the SL001 / exit-2 contract for structural
 misconfiguration of the family's knobs.
 """
 
@@ -432,63 +431,6 @@ def test_sl1004_loop_stream_outside_worker_set_is_clean(tmp_path):
         ),
     }, _conc_cfg("work.other.child_main"))
     assert _findings(result, "SL1004") == []
-
-
-# -- the SL1002 autofix ------------------------------------------------
-
-_FIXABLE = (
-    "def child_main(path, body):\n"
-    "    path.write_text(body, encoding=\"utf-8\")\n"
-    "    return path\n"
-)
-
-
-def _run_fix(root: Path, cfg: LintConfig, **kw):
-    sink = io.StringIO()
-    code = run_lint([root], no_cache=True, no_baseline=True,
-                    config=cfg, out=sink.write, **kw)
-    return code, sink.getvalue()
-
-
-def test_sl1002_fix_rewrites_to_atomic_helper(tmp_path):
-    root = _project(tmp_path, {"work/out.py": _FIXABLE})
-    cfg = _conc_cfg("work.out.child_main")
-    _run_fix(root, cfg, fix=True)
-    fixed = (root / "work" / "out.py").read_text(encoding="utf-8")
-    assert "from repro.core.atomic import atomic_write_text" in fixed
-    assert "atomic_write_text(path, body, encoding=\"utf-8\")" in fixed
-    assert ".write_text(" not in fixed
-
-
-def test_sl1002_fix_is_byte_idempotent(tmp_path):
-    root = _project(tmp_path, {"work/out.py": _FIXABLE})
-    cfg = _conc_cfg("work.out.child_main")
-    _run_fix(root, cfg, fix=True)
-    once = (root / "work" / "out.py").read_bytes()
-    _run_fix(root, cfg, fix=True)
-    assert (root / "work" / "out.py").read_bytes() == once
-    # ... and the fixed tree lints clean.
-    code, out = _run_fix(root, cfg)
-    assert code == 0, out
-
-
-def test_sl1002_fix_refuses_hand_rolled_protocol(tmp_path):
-    source = (
-        "import os\n"
-        "\n"
-        "\n"
-        "def publish(path, tmp, body):\n"
-        "    tmp.write_text(body)\n"
-        "    os.replace(tmp, path)\n"
-    )
-    root = _project(tmp_path, {"work/pub.py": source})
-    cfg = _conc_cfg("work.other.child_main")
-    _run_fix(root, cfg, fix=True)
-    # The os.replace scaffolding needs a human: the file is untouched
-    # and the warning still reports.
-    assert (root / "work" / "pub.py").read_text(encoding="utf-8") == source
-    _, out = _run_fix(root, cfg)
-    assert "hand-rolls the tmp+rename protocol" in out
 
 
 # -- configuration validation (SL001 / exit 2) -------------------------

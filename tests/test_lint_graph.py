@@ -142,7 +142,7 @@ def test_sarif_output_is_valid_and_lists_graph_rules(cold_lint):
     assert log["version"] == "2.1.0"
     rules = {r["id"] for r in log["runs"][0]["tool"]["driver"]["rules"]}
     assert {"SL001", "SL101", "SL601", "SL602", "SL603",
-            "SL901", "SL902", "SL903",
+            "SL901", "SL902",
             "SL1001", "SL1002", "SL1003", "SL1004"} <= rules
 
 

@@ -100,39 +100,6 @@ def test_sl902_private_module_import(tmp_path):
     assert "private to package 'util'" in sl902[0].message
 
 
-def test_sl903_import_cycle(tmp_path):
-    result = _run(tmp_path, {
-        "sim/alpha.py": (
-            "from proj.sim.beta import g\n\n\n"
-            "def f():\n    return g()\n"
-        ),
-        "sim/beta.py": (
-            "from proj.sim.alpha import f\n\n\n"
-            "def g():\n    return f()\n"
-        ),
-    }, _layer_cfg((("sim",),)))
-    sl903 = _findings(result, "SL903")
-    assert len(sl903) == 1
-    assert "module-level import cycle" in sl903[0].message
-    assert "proj.sim.alpha" in sl903[0].message
-    assert "proj.sim.beta" in sl903[0].message
-
-
-def test_sl903_function_scope_import_breaks_cycle(tmp_path):
-    result = _run(tmp_path, {
-        "sim/alpha.py": (
-            "from proj.sim.beta import g\n\n\n"
-            "def f():\n    return g()\n"
-        ),
-        "sim/beta.py": (
-            "def g():\n"
-            "    from proj.sim.alpha import f\n"
-            "    return f\n"
-        ),
-    }, _layer_cfg((("sim",),)))
-    assert _findings(result, "SL903") == []
-
-
 def test_empty_layer_dag_disables_sl9xx(tmp_path):
     result = _run(tmp_path, {
         "util/helpers.py": "from proj.sim.engine import step\n",

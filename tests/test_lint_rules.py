@@ -248,3 +248,27 @@ class TestRuleCatalogue:
             assert r.summary
             assert r.severity in (Severity.ERROR, Severity.WARNING)
             assert r.scope in ("model", "tree")
+
+    def test_every_suppression_names_a_registered_rule(self):
+        """No ``# simlint: ignore[...]`` comment under src/repro names a
+        retired or unknown rule id (a dead suppression)."""
+        import io
+        import tokenize
+        from pathlib import Path
+
+        import repro
+        from repro.lint import all_rules
+        from repro.lint.context import parse_suppressions
+        from repro.lint.engine import SCOPES
+
+        known = {r.rule_id for r in all_rules(SCOPES)} | {"*"}
+        dead = []
+        for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+            source = path.read_text(encoding="utf-8")
+            for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+                if tok.type != tokenize.COMMENT:
+                    continue
+                for ids in parse_suppressions(tok.string).values():
+                    dead += [f"{path.name}:{tok.start[0]} {i}"
+                             for i in sorted(ids - known)]
+        assert dead == []
