@@ -116,6 +116,7 @@ class ProjectAnalyzer:
         report = LintReport()
         summaries: Dict[str, FileSummary] = {}
 
+        single_root = len(roots) == 1
         for root in [Path(r) for r in roots]:
             cache = self._open_cache(root, stats)
             rootpkg = (root.name if root.is_dir() else root.parent.name)
@@ -133,7 +134,9 @@ class ProjectAnalyzer:
                 report.files_scanned += 1
                 report.findings.extend(entry.findings)
                 report.suppressed.extend(entry.suppressed)
-                summaries[rel] = entry.summary
+                # several roots may share a relative path: key by the
+                # path as scanned so every root's files reach the graph
+                summaries[rel if single_root else path.as_posix()] = entry.summary
             if cache is not None:
                 cache.save()
 
@@ -146,10 +149,18 @@ class ProjectAnalyzer:
 
     def _graph_findings(self, graph: ProjectGraph,
                         report: LintReport) -> List[Finding]:
-        """Run the graph rules, suppressing through each file's summary."""
+        """Run the graph rules, suppressing through each file's summary.
+
+        A finding names its file by scan-relative path, so where two
+        roots share that path a suppression in either file covers it.
+        """
+        by_rel: Dict[str, List[FileSummary]] = {}
+        for summary in graph.summaries.values():
+            by_rel.setdefault(summary.rel, []).append(summary)
+
         def is_suppressed(rel: str, line: int, rule_id: str) -> bool:
-            summary = graph.summaries.get(rel)
-            return summary is not None and summary.is_suppressed(line, rule_id)
+            return any(summary.is_suppressed(line, rule_id)
+                       for summary in by_rel.get(rel, ()))
 
         hits = ((r, *hit) for r in self.graph_rules for hit in r.check(graph))
         return triage(hits, is_suppressed, report)

@@ -66,7 +66,8 @@ class ProjectGraph:
     def __init__(self, summaries: Dict[str, FileSummary],
                  config: Optional[LintConfig] = None):
         self.config = config or DEFAULT_CONFIG
-        #: rel -> summary, in sorted-rel order.
+        #: rel (the scanned path, when several roots are scanned) ->
+        #: summary, in sorted-key order.
         self.summaries: Dict[str, FileSummary] = dict(
             sorted(summaries.items(), key=lambda kv: kv[0]))
         self.modules: Dict[str, FileSummary] = {

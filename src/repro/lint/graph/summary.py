@@ -49,7 +49,8 @@ __all__ = [
 #: identifier and ``__all__`` tables.
 #: v5: dropped the ``*args``/``**kwargs`` flags and the import-site scope
 #: flag (read only by the retired SL903).
-SUMMARY_VERSION = 5
+#: v6: a lambda's defaults are evaluated (calls there are recorded).
+SUMMARY_VERSION = 6
 
 #: Pseudo-function name for statements executed at import time.
 MODULE_BODY = "<module>"
@@ -445,9 +446,7 @@ class _Summarizer:
             if name in ("staticmethod", "classmethod"):
                 binding_decos.append(name)
             self._eval(deco, ctx)
-        for default in list(st.args.defaults) + [d for d in st.args.kw_defaults
-                                                 if d is not None]:
-            self._eval(default, ctx)
+        self._defaults(st.args, ctx)
 
         qname = f"{prefix}{st.name}"
         child = _FuncCtx(qname, cls, st.lineno)
@@ -567,6 +566,12 @@ class _Summarizer:
                 self._loop_store(dotted_name(st.target), ctx)
             self._eval(st.target.value, ctx)
 
+    def _defaults(self, args: ast.arguments, ctx: _FuncCtx) -> None:
+        """Evaluate parameter defaults in the enclosing scope *ctx*."""
+        for default in args.defaults + [d for d in args.kw_defaults
+                                        if d is not None]:
+            self._eval(default, ctx)
+
     # -- expressions --------------------------------------------------------
 
     def _eval(self, node: ast.expr, ctx: _FuncCtx) -> Term:
@@ -606,7 +611,9 @@ class _Summarizer:
             self._bind_target(node.target, term, ctx)
             return term
         if isinstance(node, ast.Lambda):
-            # Only the body: defaults are not summarized.
+            # Defaults run here, at definition; the body is charged to
+            # the enclosing function too.
+            self._defaults(node.args, ctx)
             self._eval(node.body, ctx)
         else:
             # Containers, Compare, BoolOp, Subscript, Slice, Yield,

@@ -49,15 +49,15 @@ def _cross_package_imports(graph) -> Iterator[Tuple[str, int, str, str,
     the bare root package and the root ``__init__`` (which legitimately
     re-exports from every layer) are skipped.
     """
-    for rel in sorted(graph.summaries):
-        importer = graph.summaries[rel].package
+    for fsum in graph.summaries.values():  # in sorted-key order
+        importer = fsum.package
         if importer == "__init__":
             continue
-        for line, _bound, target in graph.summaries[rel].import_sites:
+        for line, _bound, target in fsum.import_sites:
             parts = target.split(".")
             if parts[0] in graph.roots and len(parts) > 1 \
                     and parts[1] != importer:
-                yield rel, line, target, importer, parts[1:]
+                yield fsum.rel, line, target, importer, parts[1:]
 
 
 @rule("SL901", "import that violates the declared layer DAG", scope=GRAPH)

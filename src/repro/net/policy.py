@@ -78,6 +78,10 @@ class PolicyTable:
     def rules_at(self, node: str) -> List[PbrRule]:
         return list(self._rules.get(node, []))
 
+    def holds_rules(self, node: str) -> bool:
+        """Does *node* hold any rule (so its next hops may read the source)?"""
+        return node in self._rules
+
     def all_rules(self) -> List[PbrRule]:
         return [r for rules in self._rules.values() for r in rules]
 

@@ -15,7 +15,7 @@ loss, and the bottleneck capacity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import RoutingError
 from repro.net.asn import ASGraph
@@ -79,6 +79,13 @@ class Router:
         #: intra-AS shortest-path tree per source node, for the current
         #: link state (every IGP query from one node shares its tree)
         self._trees: Dict[str, IntraAsTree] = {}
+        #: next hop at a router without PBR rules, by (router, destination
+        #: host) inside the destination's AS and by (router, destination
+        #: AS) elsewhere, for the current link state; see :meth:`_next_hop`
+        self._next_hops: Dict[Tuple[str, Union[str, int]], str] = {}
+        #: next-hop decisions made, and answered from ``_next_hops``
+        self.next_hops_computed = 0
+        self.next_hops_reused = 0
 
     # -- public API ---------------------------------------------------------
 
@@ -89,22 +96,51 @@ class Router:
         if cached is not None:
             return cached
         nodes = self._pending.pop(key, None)
-        if nodes is not None:
-            path = self._finalize(nodes)
-        else:
-            path = self._resolve_uncached(src, dst)
-        self._path_cache[key] = path
+        if nodes is None:
+            nodes = self.walk(src, dst)
+        path = self._path_cache[key] = self._finalize(nodes)
         return path
+
+    def walk(self, src: str, dst: str) -> List[str]:
+        """Hop list of the forwarding path from host *src* to host *dst*.
+
+        Neither finalised nor cached: the route compile keeps only the
+        hops.  Raises :class:`RoutingError` for ``src == dst``, a
+        forwarding loop, a path over ``_MAX_HOPS`` hops or no next hop,
+        and :class:`TopologyError` for an unknown node or a destination
+        unreachable inside its own AS.
+        """
+        topo = self.topology
+        s, d = topo.node(src), topo.node(dst)
+        if src == dst:
+            raise RoutingError(f"source and destination are the same host: {src}")
+        nodes = [s.name]
+        cur = s
+        for _ in range(_MAX_HOPS):
+            if cur.name == d.name:
+                break
+            nxt = self._next_hop(cur, s, d)
+            if nxt in nodes:
+                raise RoutingError(
+                    f"forwarding loop resolving {src}->{dst}: revisit {nxt} "
+                    f"(path so far: {' -> '.join(nodes)})"
+                )
+            nodes.append(nxt)
+            cur = topo.node(nxt)
+        else:
+            raise RoutingError(f"path {src}->{dst} exceeds {_MAX_HOPS} hops")
+        return nodes
 
     def invalidate(self) -> None:
         """Drop caches after topology or policy changes.
 
-        Precompiled hop lists not yet finalised are dropped too: they
-        were computed for the old topology.
+        Precompiled hop lists not yet finalised, and the next-hop memo,
+        are dropped too: they were computed for the old topology.
         """
         self._path_cache.clear()
         self._pending.clear()
         self._trees.clear()
+        self._next_hops.clear()
         self.bgp.invalidate()
 
     def preload(self, node_paths: Iterable[Sequence[str]]) -> int:
@@ -137,29 +173,6 @@ class Router:
         return self.topology.path_directions(list(path.nodes))
 
     # -- resolution ------------------------------------------------------------
-
-    def _resolve_uncached(self, src: str, dst: str) -> ResolvedPath:
-        topo = self.topology
-        s, d = topo.node(src), topo.node(dst)
-        if src == dst:
-            raise RoutingError(f"source and destination are the same host: {src}")
-        nodes = [s.name]
-        cur = s
-        for _ in range(_MAX_HOPS):
-            if cur.name == d.name:
-                break
-            nxt = self._next_hop(cur, s, d)
-            if nxt in nodes:
-                raise RoutingError(
-                    f"forwarding loop resolving {src}->{dst}: revisit {nxt} "
-                    f"(path so far: {' -> '.join(nodes)})"
-                )
-            nodes.append(nxt)
-            cur = topo.node(nxt)
-        else:
-            raise RoutingError(f"path {src}->{dst} exceeds {_MAX_HOPS} hops")
-
-        return self._finalize(nodes)
 
     def _finalize(self, nodes: List[str]) -> ResolvedPath:
         """Derive the :class:`ResolvedPath` attributes from a hop list."""
@@ -202,6 +215,27 @@ class Router:
         )
 
     def _next_hop(self, cur: Node, src: Node, dst: Node) -> str:
+        """Next hop from *cur* for traffic *src* -> *dst*, memoised.
+
+        Only a PBR rule reads the source.  At a router without one the
+        decision is IGP toward the destination host inside its AS and
+        BGP plus hot potato toward its AS elsewhere, so it is memoised
+        under (router, host) or (router, AS) until :meth:`invalidate`.
+        A router holding rules decides per packet source, every time.
+        """
+        if self.policy.holds_rules(cur.name):
+            self.next_hops_computed += 1
+            return self._decide_next_hop(cur, src, dst)
+        key = (cur.name, dst.name if cur.asn == dst.asn else dst.asn)
+        hop = self._next_hops.get(key)
+        if hop is None:
+            self.next_hops_computed += 1
+            hop = self._next_hops[key] = self._decide_next_hop(cur, src, dst)
+        else:
+            self.next_hops_reused += 1
+        return hop
+
+    def _decide_next_hop(self, cur: Node, src: Node, dst: Node) -> str:
         topo = self.topology
 
         # 1. policy-based routing overrides (a failed out-link falls

@@ -50,6 +50,10 @@ class TopoInstrumentation:
         self.routes_count = m.gauge(
             "repro_topo_routes_count",
             "precompiled forwarding paths in the last compiled topology")
+        self.next_hops = m.counter(
+            "repro_topo_next_hops_total",
+            "next-hop decisions of route compiles, by kind: computed, or "
+            "reused from the router's next-hop memo")
         self.cache_hits = m.counter(
             "repro_topo_route_cache_hits_total", "route-cache lookups served from disk")
         self.cache_misses = m.counter(
@@ -84,3 +88,8 @@ class TopoInstrumentation:
         self.nodes_count.set(float(n_nodes))
         self.links_count.set(float(n_links))
         self.routes_count.set(float(n_routes))
+
+    def record_next_hops(self, computed: int, reused: int) -> None:
+        """Publish one routes phase's next-hop decisions."""
+        self.next_hops.inc(float(computed), kind="computed")
+        self.next_hops.inc(float(reused), kind="reused")

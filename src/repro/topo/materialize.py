@@ -159,21 +159,26 @@ def _route_pairs(graph: TopoGraph) -> List[Tuple[str, str]]:
 
 
 def _compute_routes(graph: TopoGraph,
-                    compiled: CompiledTopology) -> List[List[int]]:
-    """Resolve the standard route set over a skeleton world."""
+                    obs: TopoInstrumentation) -> List[List[int]]:
+    """Resolve the standard route set over a skeleton world.
+
+    Takes each pair's hop list from :meth:`Router.walk`, which shares
+    one next-hop memo across pairs and finalises nothing.
+    """
     topo, as_graph, policy = build_skeleton(graph)
     router = Router(topo, as_graph, policy)
     node_idx = {n.name: i for i, n in enumerate(graph.nodes)}
     paths: List[List[int]] = []
     for src, dst in _route_pairs(graph):
         try:
-            resolved = router.resolve(src, dst)
+            nodes = router.walk(src, dst)
         except (RoutingError, TopologyError):
             # disconnected pair (possible in ingested snapshots, or a
             # destination unreachable inside its own AS); materialized
             # worlds fall back to on-demand resolution
             continue
-        paths.append([node_idx[name] for name in resolved.nodes])
+        paths.append([node_idx[name] for name in nodes])
+    obs.record_next_hops(router.next_hops_computed, router.next_hops_reused)
     return paths
 
 
@@ -224,7 +229,7 @@ def compile_spec(spec: TopoSpec,
                                      TopoSpec.tag_for(key))
         if routes:
             with obs.phase("routes"):
-                compiled.attach_routes(_compute_routes(graph, compiled))
+                compiled.attach_routes(_compute_routes(graph, obs))
         if cache is not None:
             cache.store(key, compiled)
     obs.record_shape(compiled.n_sites, compiled.n_nodes, compiled.n_links,

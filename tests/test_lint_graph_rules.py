@@ -19,8 +19,8 @@ pytestmark = pytest.mark.lint
 CFG = LintConfig(model_packages=frozenset({"sim"}))
 
 
-def _project(tmp_path: Path, files: dict) -> Path:
-    root = tmp_path / "proj"
+def _project(tmp_path: Path, files: dict, name: str = "proj") -> Path:
+    root = tmp_path / name
     for rel, source in files.items():
         path = root / rel
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -169,6 +169,74 @@ def test_sl6xx_chain_through_intermediate_module(tmp_path):
     assert len(sl601) == 1
     assert ("proj.sim.engine.step -> proj.util.middle.relay"
             " -> proj.util.clockish.stamp") in sl601[0].message
+
+
+def test_sl601_wall_clock_read_in_lambda_default_reported(tmp_path):
+    """A lambda's defaults run in the enclosing function, at definition."""
+    result = _run(tmp_path, {
+        "util/clockish.py": (
+            "import time\n\n\n"
+            "def stamper():\n"
+            "    return lambda now=time.time(): now\n"
+        ),
+        "sim/engine.py": (
+            "from proj.util.clockish import stamper\n\n\n"
+            "def step():\n"
+            "    return stamper()\n"
+        ),
+    })
+    sl601 = [f for f in result.report.findings if f.rule == "SL601"]
+    assert [(f.file, f.line) for f in sl601] == [("util/clockish.py", 5)]
+    assert ("reachable from model code via proj.sim.engine.step"
+            " -> proj.util.clockish.stamper") in sl601[0].message
+
+
+def test_sl601_not_reported_for_pure_lambda_default(tmp_path):
+    result = _run(tmp_path, {
+        "util/clockish.py": (
+            "import time\n\n\n"
+            "def origin():\n"
+            "    return 0.0\n\n\n"
+            "def stamper():\n"
+            "    return lambda now=origin(): now\n"
+        ),
+        "sim/engine.py": (
+            "from proj.util.clockish import stamper\n\n\n"
+            "def step():\n"
+            "    return stamper()\n"
+        ),
+    })
+    assert [f.rule for f in result.report.findings] == []
+    assert result.graph.resolve_raw("proj.util.clockish.stamper",
+                                    "origin").kind == "project"
+
+
+def test_roots_sharing_relative_paths_each_reach_the_graph(tmp_path):
+    """Two roots that both hold ``__init__.py``, ``sim/__init__.py`` and
+    ``sim/clock.py``: the first root's model code still reaches its
+    wall-clock helper."""
+    first = _project(tmp_path, {
+        "util/wall.py": (
+            "import time\n\n\n"
+            "def stamp():\n"
+            "    return time.time()\n"
+        ),
+        "sim/clock.py": (
+            "from a.util.wall import stamp\n\n\n"
+            "def now():\n"
+            "    return stamp()\n"
+        ),
+    }, name="a")
+    second = _project(tmp_path, {
+        "sim/clock.py": "def now():\n    return 0.0\n",
+    }, name="b")
+    result = ProjectAnalyzer(config=CFG, cache_dir=None).run([first, second])
+    assert result.report.files_scanned == len(result.summaries) == 8
+    assert {s.module for s in result.summaries.values()} >= {
+        "a.sim.clock", "b.sim.clock"}
+    sl601 = [f for f in result.report.findings if f.rule == "SL601"]
+    assert [f.file for f in sl601] == ["util/wall.py"]
+    assert "a.sim.clock.now -> a.util.wall.stamp" in sl601[0].message
 
 
 def test_graph_finding_suppressible_at_sink_line(tmp_path):

@@ -151,24 +151,31 @@ class TestCompiled:
         assert as_graph is not None and policy is not None
 
 
-# every compiled byte (arrays and resolved routes) of a few presets; a
+# every compiled byte (arrays and resolved routes) of a few worlds; a
 # route-resolution change that moves any hop, RTT or loss moves these
 COMPILED_DIGESTS = [
-    ("smoke", 3, "1140d0816473433c34cc72b138cfa89ab5481acba9002a72fadfa0e4b8ca64ff"),
-    ("metro", 7, "ef4aaa6565d17a26214973d13a07c9a7d2fbddba9e5b6eb317942ba464f846db"),
-    ("metro", 11, "2d1a5c262cfe6c68dceee0b74108b0d98fb66f07114d1cb5d30a5bd3d535126a"),
-    # ~1.5 s cold; a regression to per-call link scans makes it minutes
-    ("internet", 7, "4f80a4aa58719e1bc18674c4c18fef0fbf0cd7e92dbcb84eda387d7d7f46936c"),
+    ("smoke-3", lambda: preset_spec("smoke", seed=3),
+     "1140d0816473433c34cc72b138cfa89ab5481acba9002a72fadfa0e4b8ca64ff"),
+    ("metro-7", lambda: preset_spec("metro", seed=7),
+     "ef4aaa6565d17a26214973d13a07c9a7d2fbddba9e5b6eb317942ba464f846db"),
+    ("metro-11", lambda: preset_spec("metro", seed=11),
+     "2d1a5c262cfe6c68dceee0b74108b0d98fb66f07114d1cb5d30a5bd3d535126a"),
+    # ~1 s cold; a regression to per-call link scans makes it minutes
+    ("internet-7", lambda: preset_spec("internet", seed=7),
+     "4f80a4aa58719e1bc18674c4c18fef0fbf0cd7e92dbcb84eda387d7d7f46936c"),
+    # the only world with PBR rules (CANARIE Vancouver); 21 routes
+    ("case-study", case_study_topo_spec,
+     "ad7c77b19b05586a4b2fb7c4fbf6c26ac05fa2801782602da6a4b49db787a63f"),
 ]
 
 
-@pytest.mark.parametrize("preset,seed,digest,warm", [
-    pytest.param(preset, seed, digest, warm,
-                 id=f"{preset}-{seed}-{digest}" + ("-warm" if warm else ""))
-    for preset, seed, digest in COMPILED_DIGESTS for warm in (False, True)])
-def test_compiled_world_golden_digest(preset, seed, digest, warm, tmp_path):
+@pytest.mark.parametrize("make_spec,digest,warm", [
+    pytest.param(make_spec, digest, warm,
+                 id=f"{name}-{digest}" + ("-warm" if warm else ""))
+    for name, make_spec, digest in COMPILED_DIGESTS for warm in (False, True)])
+def test_compiled_world_golden_digest(make_spec, digest, warm, tmp_path):
     """Cold, and served warm from a disk cache the cold compile filled."""
-    spec = preset_spec(preset, seed=seed)
+    spec = make_spec()
     if warm:
         obs = TopoInstrumentation(metrics=MetricsRegistry())
         compile_spec(spec, cache_dir=str(tmp_path), instrumentation=obs)
@@ -178,6 +185,22 @@ def test_compiled_world_golden_digest(preset, seed, digest, warm, tmp_path):
     else:
         compiled = compile_spec(spec, routes=True)
     assert compiled.content_digest() == digest
+
+
+@pytest.mark.parametrize("make_spec,computed,total", [
+    pytest.param(lambda: preset_spec("metro", seed=7), 3_011, 15_818,
+                 id="metro-7"),
+    # its PBR routers decide per packet source, never from the memo
+    pytest.param(case_study_topo_spec, 111, 144, id="case-study"),
+])
+def test_routes_phase_counts_next_hop_decisions(make_spec, computed, total,
+                                                tmp_path):
+    """Exact counts, published once per routes phase (none when warm)."""
+    obs = TopoInstrumentation(metrics=MetricsRegistry())
+    for _ in range(2):
+        compile_spec(make_spec(), cache_dir=str(tmp_path), instrumentation=obs)
+    assert obs.next_hops.value(kind="computed") == computed
+    assert obs.next_hops.value(kind="reused") == total - computed
 
 
 class TestItdkRoundTrip:
