@@ -24,83 +24,113 @@ from typing import List, Optional
 
 from repro import units
 from repro._version import __version__
+from repro.errors import ReproError
 
 __all__ = ["main", "build_parser"]
 
+_SITES = ["ubc", "purdue", "ucla"]
+_PROVIDERS = ["gdrive", "dropbox", "onedrive"]
 
-def _add_cache_flags(p: argparse.ArgumentParser) -> None:
-    """Campaign-engine flags shared by report/table/figure."""
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
+# Every flag that more than one parser takes, declared once: its name ->
+# its argparse keywords.  The help here is the one most uses print;
+# `_add` takes a per-use override where a parser's text differs.
+_FLAGS = {
+    "client": dict(choices=_SITES),
+    "provider": dict(choices=_PROVIDERS),
+    "spec": dict(help="spec JSON path"),
+    "--size-mb": dict(type=float, default=100.0),
+    "--seed": dict(type=int, default=0),
+    "--runs": dict(type=int, default=3),
+    "--fast": dict(action="store_true"),
+    "--jobs": dict(type=int, default=1, metavar="N",
                    help="precompute the experiment matrix with N parallel "
-                        "workers before rendering (default: 1, in-process)")
-    p.add_argument("--cache-dir", default=None, metavar="DIR", dest="cache_dir",
-                   help="campaign result store: reuse cells already there, "
-                        "persist cells computed here")
+                        "workers before rendering (default: 1, in-process)"),
+    "--timeout-s": dict(type=float, metavar="S", help="per-cell wall-clock "
+                        "budget (needs --jobs > 1)"),
+    "--retries": dict(type=int, default=1, help="extra attempts after a "
+                      "worker crash/timeout (default: 1)"),
+    "--cache-dir": dict(metavar="DIR", help="campaign result store: reuse "
+                        "cells already there, persist cells computed here"),
+    "--out": dict(metavar="FILE",
+                  help="write the export to FILE instead of stdout"),
+    "--root": dict(required=True, metavar="DIR"),
+    "--per-site": dict(action="store_true"),
+    "--metrics": dict(metavar="FILE", help="export metrics: '-' prints a "
+                      "table to stdout, any other path gets Prometheus "
+                      "exposition text"),
+    "--trace-out": dict(metavar="FILE", help="dump metrics + trace events "
+                        "as JSON lines to FILE ('-' for stdout)"),
+    "--profile": dict(action="store_true", help="profile kernel callbacks "
+                      "and print a wall-time report"),
+    "--profile-trace": dict(metavar="FILE", help="record the profiler "
+                            "timeline and write it as Chrome-trace/Perfetto "
+                            "JSON (implies --profile)"),
+    "--profile-stacks": dict(metavar="FILE", help="write self-time-weighted "
+                             "collapsed stacks in flamegraph format "
+                             "(implies --profile)"),
+    "--progress": dict(action="store_true", help="stream one telemetry line "
+                       "per cell-lifecycle event to stderr "
+                       "(started/finished/retried/quarantined)"),
+    "--clients": dict(metavar="A,B", help="comma-separated client sites "
+                      "(default: ubc,purdue,ucla)"),
+    "--providers": dict(metavar="A,B", help="comma-separated providers "
+                        "(default: gdrive,dropbox,onedrive)"),
+    "--routes": dict(metavar="R;R", help="semicolon-separated canonical "
+                     "routes ('direct', 'via umich', 'via ualberta "
+                     "(pipelined)'); default: the paper route set per client"),
+    "--sizes-mb": dict(metavar="N,N", help="comma-separated sizes in MB "
+                       "(default: the paper sweep)"),
+    "--seeds": dict(metavar="S1,S2,..."),
+    "--no-cross-traffic": dict(action="store_true", help="build worlds "
+                               "without background cross-traffic"),
+    "--sites": dict(metavar="A,B", help="comma-separated client sites "
+                    "(default: ubc,purdue,ucla)"),
+    "--provider": dict(default="gdrive", choices=_PROVIDERS),
+    "--uploads-per-site": dict(type=int, default=20, metavar="N"),
+    "--interarrival-s": dict(type=float, default=60.0, metavar="S",
+                             help="mean exponential interarrival per site "
+                                  "(default: 60)"),
+    "--size-dist": dict(choices=["lognormal", "fixed"], default="lognormal",
+                        help="heavy-tailed lognormal sizes, or every upload "
+                             "at exactly --size-mb"),
+    "--modes": dict(metavar="M1;M2;..."),
+    "--results-dir": dict(default="benchmarks/results", metavar="DIR",
+                          help="directory holding BENCH_*.json "
+                               "(default: benchmarks/results)"),
+    "--ledger": dict(metavar="FILE", help="ledger path (default: "
+                     "<results-dir>/bench_ledger.jsonl)"),
+    "--prefix": dict(default="itdk", help="snapshot file prefix"),
+}
+
+# Flag groups several parsers share, in declaration order.
+_OBS = ("--metrics", "--trace-out", "--profile", "--profile-trace",
+        "--profile-stacks")
+_CACHE = ("--jobs", "--cache-dir")
+_POOL = (("--jobs", "parallel worker processes (default: 1, in-process)"),
+         "--timeout-s", "--retries")
+_CAMPAIGN = (
+    "--clients", "--providers", "--routes", "--sizes-mb",
+    ("--seeds", {"metavar": "N,N",
+                 "help": "comma-separated master seeds (default: 0)"}),
+    ("--fast", "3 runs (discard 1) instead of the paper's 7-run protocol"),
+    "--no-cross-traffic",
+    ("--cache-dir", "result store directory (run: resume into it; "
+                    "status/export: read from it)"))
+_FLEET = (
+    "--sites", "--provider", "--uploads-per-site", "--interarrival-s",
+    ("--size-mb", {"default": 40.0,
+                   "help": "mean upload size in MB (default: 40)"}),
+    "--size-dist", "--no-cross-traffic")
 
 
-def _add_campaign_spec_flags(p: argparse.ArgumentParser) -> None:
-    """Matrix axes shared by campaign run/status/export."""
-    p.add_argument("--clients", default=None, metavar="A,B",
-                   help="comma-separated client sites (default: ubc,purdue,ucla)")
-    p.add_argument("--providers", default=None, metavar="A,B",
-                   help="comma-separated providers (default: gdrive,dropbox,onedrive)")
-    p.add_argument("--routes", default=None, metavar="R;R",
-                   help="semicolon-separated canonical routes ('direct', "
-                        "'via umich', 'via ualberta (pipelined)'); default: "
-                        "the paper route set per client")
-    p.add_argument("--sizes-mb", default=None, metavar="N,N", dest="sizes_mb",
-                   help="comma-separated sizes in MB (default: the paper sweep)")
-    p.add_argument("--seeds", default=None, metavar="N,N",
-                   help="comma-separated master seeds (default: 0)")
-    p.add_argument("--fast", action="store_true",
-                   help="3 runs (discard 1) instead of the paper's 7-run protocol")
-    p.add_argument("--no-cross-traffic", action="store_true", dest="no_cross_traffic",
-                   help="build worlds without background cross-traffic")
-    p.add_argument("--cache-dir", default=None, metavar="DIR", dest="cache_dir",
-                   help="result store directory (run: resume into it; "
-                        "status/export: read from it)")
-
-
-def _add_broker_fleet_flags(p: argparse.ArgumentParser) -> None:
-    """Fleet workload axes shared by broker simulate/eval/export."""
-    p.add_argument("--sites", default=None, metavar="A,B",
-                   help="comma-separated client sites (default: ubc,purdue,ucla)")
-    p.add_argument("--provider", default="gdrive",
-                   choices=["gdrive", "dropbox", "onedrive"])
-    p.add_argument("--uploads-per-site", type=int, default=20, metavar="N",
-                   dest="uploads_per_site")
-    p.add_argument("--interarrival-s", type=float, default=60.0, metavar="S",
-                   dest="interarrival_s",
-                   help="mean exponential interarrival per site (default: 60)")
-    p.add_argument("--size-mb", type=float, default=40.0, dest="size_mb",
-                   help="mean upload size in MB (default: 40)")
-    p.add_argument("--size-dist", choices=["lognormal", "fixed"],
-                   default="lognormal", dest="size_dist",
-                   help="heavy-tailed lognormal sizes, or every upload at "
-                        "exactly --size-mb")
-    p.add_argument("--no-cross-traffic", action="store_true",
-                   dest="no_cross_traffic",
-                   help="build worlds without background cross-traffic")
-
-
-def _add_obs_flags(p: argparse.ArgumentParser) -> None:
-    """Observability flags shared by compare/upload/report."""
-    p.add_argument("--metrics", default=None, metavar="FILE",
-                   help="export metrics: '-' prints a table to stdout, any "
-                        "other path gets Prometheus exposition text")
-    p.add_argument("--trace-out", default=None, metavar="FILE", dest="trace_out",
-                   help="dump metrics + trace events as JSON lines to FILE "
-                        "('-' for stdout)")
-    p.add_argument("--profile", action="store_true",
-                   help="profile kernel callbacks and print a wall-time report")
-    p.add_argument("--profile-trace", default=None, metavar="FILE",
-                   dest="profile_trace",
-                   help="record the profiler timeline and write it as "
-                        "Chrome-trace/Perfetto JSON (implies --profile)")
-    p.add_argument("--profile-stacks", default=None, metavar="FILE",
-                   dest="profile_stacks",
-                   help="write self-time-weighted collapsed stacks in "
-                        "flamegraph format (implies --profile)")
+def _add(p: argparse.ArgumentParser, *flags) -> None:
+    """Attach `_FLAGS` entries to *p* in order.  A flag is its table key,
+    or a ``(key, use)`` pair: *use* is this parser's help text (None for
+    none), or a dict of argparse keywords that override the table's."""
+    for flag in flags:
+        key, use = flag if isinstance(flag, tuple) else (flag, {})
+        p.add_argument(key, **{**_FLAGS[key], **(
+            use if isinstance(use, dict) else {"help": use})})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,62 +142,46 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compare", help="measure direct vs detour routes for one upload")
-    p.add_argument("client", choices=["ubc", "purdue", "ucla"])
-    p.add_argument("provider", choices=["gdrive", "dropbox", "onedrive"])
-    p.add_argument("--size-mb", type=float, default=100.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--runs", type=int, default=3)
-    _add_obs_flags(p)
+    _add(p, "client", "provider", "--size-mb", "--seed", "--runs", *_OBS)
 
     p = sub.add_parser("upload", help="plan (compare) and execute the best route")
-    p.add_argument("client", choices=["ubc", "purdue", "ucla"])
-    p.add_argument("provider", choices=["gdrive", "dropbox", "onedrive"])
-    p.add_argument("--size-mb", type=float, default=100.0)
-    p.add_argument("--seed", type=int, default=0)
-    _add_obs_flags(p)
+    _add(p, "client", "provider", "--size-mb", "--seed", *_OBS)
 
     p = sub.add_parser("traceroute", help="traceroute between two simulated hosts")
     p.add_argument("src")
     p.add_argument("dst")
-    p.add_argument("--seed", type=int, default=0)
+    _add(p, "--seed")
 
     p = sub.add_parser("figure", help="regenerate a paper figure")
     p.add_argument("figure_id",
                    choices=["fig2", "fig4", "fig5", "fig6", "fig7", "fig8",
                             "fig9", "fig10", "fig11"])
-    p.add_argument("--fast", action="store_true",
-                   help="3 runs x 3 sizes instead of the full protocol")
-    p.add_argument("--seed", type=int, default=0)
-    _add_cache_flags(p)
+    _add(p, ("--fast", "3 runs x 3 sizes instead of the full protocol"),
+         "--seed", *_CACHE)
 
     p = sub.add_parser("table", help="regenerate a paper table")
     p.add_argument("table_id", choices=["1", "2", "3", "4", "5"])
-    p.add_argument("--fast", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    _add_cache_flags(p)
+    _add(p, "--fast", "--seed", *_CACHE)
 
     p = sub.add_parser("routeviews", help="dump the BGP RIB toward a provider AS "
                                           "and flag control/forwarding anomalies")
     p.add_argument("dest", choices=["google", "dropbox", "microsoft"])
-    p.add_argument("--seed", type=int, default=0)
+    _add(p, "--seed")
 
     p = sub.add_parser("tiv", help="probe the overlay mesh and catalog "
                                    "triangle-inequality violations")
-    p.add_argument("--seed", type=int, default=0)
+    _add(p, "--seed")
     p.add_argument("--margin", type=float, default=1.10)
 
     p = sub.add_parser("validate", help="check the testbed calibration against "
                                         "the paper-derived targets")
-    p.add_argument("--size-mb", type=float, default=100.0)
+    _add(p, "--size-mb")
     p.add_argument("--tolerance", type=float, default=0.35)
-    p.add_argument("--seed", type=int, default=0)
+    _add(p, "--seed")
 
     p = sub.add_parser("report", help="regenerate all tables + the "
                                       "paper-vs-measured comparison")
-    p.add_argument("--fast", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    _add_cache_flags(p)
-    _add_obs_flags(p)
+    _add(p, "--fast", "--seed", *_CACHE, *_OBS)
 
     p = sub.add_parser("campaign", help="run/inspect/export an experiment "
                                         "campaign (parallel, cached, resumable)")
@@ -175,22 +189,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = csub.add_parser("run", help="execute every cell of the matrix not "
                                     "already in the store")
-    _add_campaign_spec_flags(c)
-    c.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="parallel worker processes (default: 1, in-process)")
-    c.add_argument("--timeout-s", type=float, default=None, dest="timeout_s",
-                   metavar="S", help="per-cell wall-clock budget (needs --jobs > 1)")
-    c.add_argument("--retries", type=int, default=1,
-                   help="extra attempts after a worker crash/timeout (default: 1)")
-    c.add_argument("--metrics", default=None, metavar="FILE",
-                   help="export campaign metrics: '-' prints a table, any "
-                        "other path gets Prometheus exposition text")
-    c.add_argument("--progress", action="store_true",
-                   help="stream one telemetry line per cell-lifecycle event "
-                        "to stderr (started/finished/retried/quarantined)")
+    _add(c, *_CAMPAIGN, *_POOL,
+         ("--metrics", "export campaign metrics: '-' prints a table, any "
+                       "other path gets Prometheus exposition text"),
+         "--progress")
 
     c = csub.add_parser("status", help="how much of the matrix the store holds")
-    _add_campaign_spec_flags(c)
+    _add(c, *_CAMPAIGN)
     c.add_argument("--watch", action="store_true",
                    help="re-poll the store and print a progress line until "
                         "every cell is present (follow a run live)")
@@ -199,9 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = csub.add_parser("export", help="canonical JSON of every stored cell, "
                                        "in spec order")
-    _add_campaign_spec_flags(c)
-    c.add_argument("--out", default=None, metavar="FILE",
-                   help="write the export to FILE instead of stdout")
+    _add(c, *_CAMPAIGN, "--out")
 
     p = sub.add_parser("broker", help="simulate/evaluate the detour-brokerage "
                                       "control plane over a client fleet")
@@ -209,42 +212,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = bsub.add_parser("simulate", help="run one fleet under one policy and "
                                          "print the per-upload ledger")
-    _add_broker_fleet_flags(b)
+    _add(b, *_FLEET)
     b.add_argument("--mode", default="broker", metavar="POLICY",
                    help="'broker', 'direct', or 'static:<route>' "
                         "(default: broker)")
-    b.add_argument("--seed", type=int, default=0)
+    _add(b, "--seed")
     b.add_argument("--uploads", action="store_true", dest="show_uploads",
                    help="also print one line per upload")
-    b.add_argument("--metrics", default=None, metavar="FILE",
-                   help="export per-site fleet metrics: '-' prints a table, "
-                        "any other path gets Prometheus exposition text")
-    b.add_argument("--profile-trace", default=None, metavar="FILE",
-                   dest="profile_trace",
-                   help="profile the fleet's kernel and write the timeline "
-                        "as Chrome-trace/Perfetto JSON")
+    _add(b, ("--metrics", "export per-site fleet metrics: '-' prints a "
+                          "table, any other path gets Prometheus exposition "
+                          "text"),
+         ("--profile-trace", "profile the fleet's kernel and write the "
+                             "timeline as Chrome-trace/Perfetto JSON"))
 
     b = bsub.add_parser("eval", help="run the broker-on vs broker-off sweep "
                                      "through the campaign engine and score it")
-    _add_broker_fleet_flags(b)
-    b.add_argument("--modes", default=None, metavar="M1;M2;...",
-                   help="policies to compare, ';'-separated (default: direct, "
-                        "both static detours, broker)")
-    b.add_argument("--seeds", default=None, metavar="S1,S2,...")
-    _add_cache_flags(b)
-    b.add_argument("--metrics", default=None, metavar="FILE",
-                   help="export the per-policy score rollup: '-' prints a "
-                        "table, any other path gets Prometheus text")
+    _add(b, *_FLEET,
+         ("--modes", "policies to compare, ';'-separated (default: direct, "
+                     "both static detours, broker)"),
+         "--seeds", *_CACHE,
+         ("--metrics", "export the per-policy score rollup: '-' prints a "
+                       "table, any other path gets Prometheus text"))
 
     b = bsub.add_parser("export", help="canonical JSON of every stored fleet "
                                        "cell, in sweep order")
-    _add_broker_fleet_flags(b)
-    b.add_argument("--modes", default=None, metavar="M1;M2;...")
-    b.add_argument("--seeds", default=None, metavar="S1,S2,...")
-    b.add_argument("--cache-dir", default=None, metavar="DIR", dest="cache_dir",
-                   help="result store directory to export from")
-    b.add_argument("--out", default=None, metavar="FILE",
-                   help="write the export to FILE instead of stdout")
+    _add(b, *_FLEET, "--modes", "--seeds",
+         ("--cache-dir", "result store directory to export from"), "--out")
 
     p = sub.add_parser("shard", help="run a fleet as sharded campaign cells "
                                      "with a shared route directory")
@@ -252,24 +245,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     h = hsub.add_parser("run", help="execute (or resume) a sharded fleet "
                                     "plan under a run root, then merge")
-    _add_broker_fleet_flags(h)
-    h.add_argument("--root", required=True, metavar="DIR",
-                   help="run root: cell store, shared directory tier, and "
-                        "the plan's provenance file live under it")
-    h.add_argument("--modes", default=None, metavar="M1;M2;...",
-                   help="policies to compare, ';'-separated "
-                        "(default: direct;broker)")
+    _add(h, *_FLEET,
+         ("--root", "run root: cell store, shared directory tier, and the "
+                    "plan's provenance file live under it"),
+         ("--modes", "policies to compare, ';'-separated "
+                     "(default: direct;broker)"))
     h.add_argument("--shards", type=int, default=1, metavar="N",
                    help="stable-hash site partitions (default: 1)")
-    h.add_argument("--seed", type=int, default=0)
-    h.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="parallel worker processes (default: 1, in-process)")
-    h.add_argument("--timeout-s", type=float, default=None, dest="timeout_s",
-                   metavar="S", help="per-cell wall-clock budget "
-                                     "(needs --jobs > 1)")
-    h.add_argument("--retries", type=int, default=1,
-                   help="extra attempts after a worker crash/timeout "
-                        "(default: 1)")
+    _add(h, "--seed", *_POOL)
     h.add_argument("--warm-from", default=None, metavar="NAME",
                    dest="warm_from",
                    help="published directory snapshot to preload broker "
@@ -277,53 +260,39 @@ def build_parser() -> argparse.ArgumentParser:
     h.add_argument("--topo", default=None, metavar="SPEC.json",
                    help="run the fleet on a generated world spec instead of "
                         "the calibrated case study")
-    h.add_argument("--per-site", action="store_true", dest="per_site",
-                   help="include the per-site breakdown in the merged score")
-    h.add_argument("--metrics", default=None, metavar="FILE",
-                   help="export run metrics: '-' prints a table, any other "
-                        "path gets Prometheus exposition text")
-    h.add_argument("--progress", action="store_true",
-                   help="stream one telemetry line per cell-lifecycle event "
-                        "to stderr")
+    _add(h, ("--per-site", "include the per-site breakdown in the merged "
+                           "score"),
+         ("--metrics", "export run metrics: '-' prints a table, any other "
+                       "path gets Prometheus exposition text"),
+         ("--progress", "stream one telemetry line per cell-lifecycle event "
+                        "to stderr"))
 
     h = hsub.add_parser("status", help="how far the run under a root has "
                                        "progressed (crash-safe, read-only)")
-    h.add_argument("--root", required=True, metavar="DIR")
+    _add(h, "--root")
 
     h = hsub.add_parser("merge", help="fold a completed run's stored cells "
                                       "and published reports into the fleet "
                                       "score (works offline)")
-    h.add_argument("--root", required=True, metavar="DIR")
-    h.add_argument("--per-site", action="store_true", dest="per_site")
-    h.add_argument("--metrics", default=None, metavar="FILE",
-                   help="export merge metrics: '-' prints a table, any "
-                        "other path gets Prometheus exposition text")
+    _add(h, "--root", "--per-site",
+         ("--metrics", "export merge metrics: '-' prints a table, any other "
+                       "path gets Prometheus exposition text"))
 
     p = sub.add_parser("obs", help="run an instrumented compare and export "
                                    "its metrics, spans, and profile")
-    p.add_argument("client", nargs="?", default="ubc",
-                   choices=["ubc", "purdue", "ucla"])
-    p.add_argument("provider", nargs="?", default="gdrive",
-                   choices=["gdrive", "dropbox", "onedrive"])
-    p.add_argument("--size-mb", type=float, default=20.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--runs", type=int, default=2)
+    _add(p, ("client", {"nargs": "?", "default": "ubc"}),
+         ("provider", {"nargs": "?", "default": "gdrive"}),
+         ("--size-mb", {"default": 20.0}), "--seed", ("--runs", {"default": 2}))
     p.add_argument("--format", choices=["text", "json", "prom"], default="text",
                    dest="fmt",
                    help="text: timeline + metrics table; json: JSON-lines "
                         "metrics+trace dump; prom: Prometheus exposition")
-    p.add_argument("--out", default=None, metavar="FILE",
-                   help="write the export to FILE instead of stdout")
-    p.add_argument("--profile", action="store_true",
-                   help="also print the kernel wall-time profile (text format)")
-    p.add_argument("--profile-trace", default=None, metavar="FILE",
-                   dest="profile_trace",
-                   help="record the profiler timeline and write it as "
-                        "Chrome-trace/Perfetto JSON")
-    p.add_argument("--profile-stacks", default=None, metavar="FILE",
-                   dest="profile_stacks",
-                   help="write self-time-weighted collapsed stacks in "
-                        "flamegraph format")
+    _add(p, "--out",
+         ("--profile", "also print the kernel wall-time profile (text format)"),
+         ("--profile-trace", "record the profiler timeline and write it as "
+                             "Chrome-trace/Perfetto JSON"),
+         ("--profile-stacks", "write self-time-weighted collapsed stacks in "
+                              "flamegraph format"))
 
     p = sub.add_parser("bench", help="trend ledger over the benchmark "
                                      "suite's BENCH_*.json results")
@@ -332,13 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     n = nsub.add_parser("check", help="flag results that regressed past a "
                                       "threshold vs the ledger's last "
                                       "generation (exit 1 on regression)")
-    n.add_argument("--results-dir", default="benchmarks/results",
-                   dest="results_dir", metavar="DIR",
-                   help="directory holding BENCH_*.json "
-                        "(default: benchmarks/results)")
-    n.add_argument("--ledger", default=None, metavar="FILE",
-                   help="ledger path (default: <results-dir>/"
-                        "bench_ledger.jsonl)")
+    _add(n, "--results-dir", "--ledger")
     n.add_argument("--threshold", type=float, default=None,
                    help="degradation ratio that counts as a regression "
                         "(default: 1.25)")
@@ -350,9 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     n = nsub.add_parser("trend", help="print the per-metric value trail "
                                       "over recent ledger generations")
-    n.add_argument("--results-dir", default="benchmarks/results",
-                   dest="results_dir", metavar="DIR")
-    n.add_argument("--ledger", default=None, metavar="FILE")
+    _add(n, ("--results-dir", None), ("--ledger", None))
     n.add_argument("--suite", default=None,
                    help="restrict to one suite (the X of BENCH_X.json)")
     n.add_argument("--last", type=int, default=8, metavar="N",
@@ -368,15 +329,13 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--preset", choices=["smoke", "metro", "internet"],
                    default="metro",
                    help="synthetic recipe size (default: metro)")
-    t.add_argument("--seed", type=int, default=0,
-                   help="generator seed baked into the spec")
+    _add(t, ("--seed", "generator seed baked into the spec"))
     t.add_argument("--name", default=None,
                    help="spec name (default: the preset name)")
     t.add_argument("--from-itdk", default=None, metavar="DIR", dest="from_itdk",
                    help="ingest an ITDK-style snapshot directory instead of "
                         "generating synthetically")
-    t.add_argument("--prefix", default="itdk",
-                   help="with --from-itdk: snapshot file prefix")
+    _add(t, ("--prefix", "with --from-itdk: snapshot file prefix"))
     t.add_argument("-o", "--out", default=None, metavar="FILE",
                    help="spec JSON path (default: <name>.topo.json)")
 
@@ -386,21 +345,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = tsub.add_parser("compile", help="compile a spec to flat arrays + "
                                         "precomputed routes (.npz)")
-    t.add_argument("spec", help="spec JSON path")
+    _add(t, "spec")
     t.add_argument("-o", "--out", default=None, metavar="FILE",
                    help="compiled output (default: <spec stem>.npz)")
-    t.add_argument("--cache-dir", default=None, metavar="DIR", dest="cache_dir",
-                   help="content-addressed compiled-world cache directory")
+    _add(t, ("--cache-dir", "content-addressed compiled-world cache directory"))
     t.add_argument("--no-routes", action="store_true", dest="no_routes",
                    help="skip route precomputation (routes resolve on "
                         "demand at materialize time)")
 
     t = tsub.add_parser("export", help="write a spec's expanded graph as an "
                                        "ITDK-style text snapshot")
-    t.add_argument("spec", help="spec JSON path")
+    _add(t, "spec")
     t.add_argument("-o", "--out", required=True, metavar="DIR",
                    help="snapshot output directory")
-    t.add_argument("--prefix", default="itdk", help="snapshot file prefix")
+    _add(t, "--prefix")
 
     p = sub.add_parser("lint", help="statically check the simulation invariants "
                                     "(determinism / units / kernel-safety)")
@@ -416,8 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ignore any baseline file")
     p.add_argument("--update-baseline", action="store_true",
                    help="rewrite the baseline to cover the current findings")
-    p.add_argument("--cache-dir", default=None, metavar="DIR", dest="cache_dir",
-                   help="incremental analysis cache (default: .lint_cache)")
+    _add(p, ("--cache-dir", "incremental analysis cache (default: .lint_cache)"))
     p.add_argument("--no-cache", action="store_true", dest="no_cache",
                    help="analyze from scratch, neither reading nor writing "
                         "the cache")
@@ -501,38 +458,63 @@ def _warmed_config(cfg, args):
     return cfg, keepalive
 
 
-def _obs_requested(args) -> bool:
-    return bool(args.metrics or args.trace_out or _profile_requested(args))
+def _obs_tools(args, registry=False):
+    """The instruments the obs flags ask for, as ``(registry, profiler)``.
 
-
-def _profile_requested(args) -> bool:
-    return bool(args.profile or getattr(args, "profile_trace", None)
-                or getattr(args, "profile_stacks", None))
-
-
-def _build_profiler(args):
-    """A profiler matching the flags: timeline recording only when a
-    Chrome-trace export was asked for (it is the only consumer)."""
-    from repro.obs import KernelProfiler
-
-    return KernelProfiler(timeline=bool(getattr(args, "profile_trace", None)))
-
-
-def _instrumented_world(args):
-    """Build the case-study world honouring the observability flags.
-
-    Without any obs flag this is exactly ``build_case_study(seed=...)``,
-    so default runs stay byte-identical to the uninstrumented CLI.
+    A MetricsRegistry comes with ``--metrics`` or a true *registry*; a
+    KernelProfiler with ``--profile``, ``--profile-trace`` or
+    ``--profile-stacks``, recording a timeline only for
+    ``--profile-trace``, the one export that reads it.  Each is None when
+    nothing asks for it; a flag the subparser lacks asks for nothing.
     """
-    from repro.testbed import build_case_study
+    from repro.obs import KernelProfiler, MetricsRegistry
 
-    obs_on = _obs_requested(args)
-    return build_case_study(
-        seed=args.seed,
-        trace=obs_on,
-        metrics=bool(args.metrics or args.trace_out),
-        profile=_build_profiler(args) if _profile_requested(args) else False,
-    )
+    timeline = bool(getattr(args, "profile_trace", None))
+    profile = (getattr(args, "profile", False) or timeline
+               or getattr(args, "profile_stacks", None))
+    return (MetricsRegistry() if registry or getattr(args, "metrics", None)
+            else None,
+            KernelProfiler(timeline=timeline) if profile else None)
+
+
+def _obs_epilogue(args, registry, profiler, tracer=None, gap="") -> None:
+    """Write what the obs flags asked for once the command's own output
+    is printed: *tracer*'s span timeline, ``--metrics`` ('-' prints a
+    table, a path gets Prometheus text and a note, with *gap* before the
+    note), ``--trace-out``, the ``--profile`` report, and the
+    ``--profile-trace`` / ``--profile-stacks`` files."""
+    from repro.obs import render_metrics_table, render_prometheus
+
+    if tracer is not None:
+        from repro.analysis import span_timeline
+        from repro.obs import extract_span_records, record_trace_health
+
+        record_trace_health(registry, tracer)
+        print()
+        print(span_timeline(extract_span_records(tracer)))
+        print(f"trace: {len(tracer)} event(s), {tracer.dropped} dropped")
+    if args.metrics == "-":
+        print()
+        print(render_metrics_table(registry))
+    elif args.metrics:
+        with open(args.metrics, "w", encoding="utf-8") as fp:
+            fp.write(render_prometheus(registry))
+        print(f"{gap}wrote Prometheus metrics to {args.metrics}")
+    if tracer is not None and args.trace_out:
+        from repro.obs import write_jsonl
+
+        if args.trace_out == "-":
+            print()
+            write_jsonl(sys.stdout, metrics=registry, tracer=tracer)
+        else:
+            with open(args.trace_out, "w", encoding="utf-8") as fp:
+                lines = write_jsonl(fp, metrics=registry, tracer=tracer)
+            print(f"\nwrote {lines} JSON lines to {args.trace_out}")
+    if profiler is not None:
+        if getattr(args, "profile", False):
+            print()
+            print(profiler.report())
+        _write_profile_exports(profiler, args)
 
 
 def _write_profile_exports(profiler, args) -> None:
@@ -551,68 +533,61 @@ def _write_profile_exports(profiler, args) -> None:
         print(f"wrote {n} collapsed stack(s) to {stacks_path}")
 
 
-def _emit_obs(world, args) -> None:
-    """Print/write the obs exports selected by the shared flags."""
-    from repro.analysis import span_timeline
-    from repro.obs import (
-        extract_span_records,
-        record_trace_health,
-        render_metrics_table,
-        render_prometheus,
-        write_jsonl,
-    )
+def _telemetry(args, registry, always: bool = False):
+    """A TelemetryAggregator feeding *registry* that echoes each event to
+    stderr under ``--progress``; None unless --progress or *always*."""
+    if not (args.progress or always):
+        return None
+    from repro.obs import TelemetryAggregator, render_event
 
-    record_trace_health(world.metrics, world.tracer)
-    print()
-    print(span_timeline(extract_span_records(world.tracer)))
-    print(f"trace: {len(world.tracer)} event(s), "
-          f"{world.tracer.dropped} dropped")
-    if args.metrics == "-":
-        print()
-        print(render_metrics_table(world.metrics))
-    elif args.metrics:
-        with open(args.metrics, "w", encoding="utf-8") as fp:
-            fp.write(render_prometheus(world.metrics))
-        print(f"\nwrote Prometheus metrics to {args.metrics}")
-    if args.trace_out == "-":
-        print()
-        write_jsonl(sys.stdout, metrics=world.metrics, tracer=world.tracer)
-    elif args.trace_out:
-        with open(args.trace_out, "w", encoding="utf-8") as fp:
-            lines = write_jsonl(fp, metrics=world.metrics, tracer=world.tracer)
-        print(f"\nwrote {lines} JSON lines to {args.trace_out}")
-    if args.profile and world.profiler is not None:
-        print()
-        print(world.profiler.report())
-    if world.profiler is not None:
-        _write_profile_exports(world.profiler, args)
+    def on_event(ev):
+        print(render_event(ev), file=sys.stderr)
+
+    return TelemetryAggregator(metrics=registry,
+                               on_event=on_event if args.progress else None)
+
+
+def _case_study(args):
+    """The case-study world for compare/upload, traced and instrumented
+    only when an obs flag asks: without one it is exactly
+    ``build_case_study(seed=...)``, so default runs stay byte-identical
+    to the uninstrumented CLI."""
+    from repro.testbed import build_case_study
+
+    registry, profiler = _obs_tools(args, registry=args.trace_out)
+    return build_case_study(
+        seed=args.seed, trace=registry is not None or profiler is not None,
+        metrics=registry if registry is not None else False,
+        profile=profiler if profiler is not None else False)
 
 
 def _cmd_compare(args) -> int:
     from repro.core import DetourPlanner
 
-    world = _instrumented_world(args)
+    world = _case_study(args)
     planner = DetourPlanner(world, runs_per_route=args.runs,
                             discard_runs=1 if args.runs > 1 else 0)
     comparison = planner.compare(args.client, args.provider,
                                  int(units.mb(args.size_mb)))
     print(comparison.render())
-    if _obs_requested(args):
-        _emit_obs(world, args)
+    if world.tracer.enabled:
+        _obs_epilogue(args, world.metrics, world.profiler,
+                      tracer=world.tracer, gap="\n")
     return 0
 
 
 def _cmd_upload(args) -> int:
     from repro.core import DetourPlanner
 
-    world = _instrumented_world(args)
+    world = _case_study(args)
     planner = DetourPlanner(world)
     planned = planner.upload(args.client, args.provider, int(units.mb(args.size_mb)))
     print(planned.comparison.render())
     print()
     print(planned.final.describe())
-    if _obs_requested(args):
-        _emit_obs(world, args)
+    if world.tracer.enabled:
+        _obs_epilogue(args, world.metrics, world.profiler,
+                      tracer=world.tracer, gap="\n")
     return 0
 
 
@@ -722,42 +697,22 @@ def _cmd_validate(args) -> int:
     return 0 if all(c.ok(args.tolerance) for c in checks) else 1
 
 
+
 def _cmd_report(args) -> int:
+    from dataclasses import replace
+
     from repro.analysis import generate_full_report
 
-    cfg = _analysis_config(args.fast, args.seed)
-    registry = profiler = None
-    if _obs_requested(args):
-        from dataclasses import replace
-
-        from repro.obs import MetricsRegistry
-
-        if args.trace_out:
-            print("note: --trace-out is ignored by report (per-world traces "
-                  "are not aggregated)", file=sys.stderr)
-        if args.metrics:
-            registry = MetricsRegistry()
-        if _profile_requested(args):
-            profiler = _build_profiler(args)
-        cfg = replace(cfg, metrics=registry, profiler=profiler)
+    if args.trace_out:
+        print("note: --trace-out is ignored by report (per-world traces "
+              "are not aggregated)", file=sys.stderr)
+    registry, profiler = _obs_tools(args)
+    cfg = replace(_analysis_config(args.fast, args.seed), metrics=registry,
+                  profiler=profiler)
     cfg, keepalive = _warmed_config(cfg, args)
     print(generate_full_report(cfg))
     del keepalive
-    if registry is not None:
-        from repro.obs import render_metrics_table, render_prometheus
-
-        if args.metrics == "-":
-            print()
-            print(render_metrics_table(registry))
-        else:
-            with open(args.metrics, "w", encoding="utf-8") as fp:
-                fp.write(render_prometheus(registry))
-            print(f"\nwrote Prometheus metrics to {args.metrics}")
-    if profiler is not None:
-        if args.profile:
-            print()
-            print(profiler.report())
-        _write_profile_exports(profiler, args)
+    _obs_epilogue(args, registry, profiler, gap="\n")
     return 0
 
 
@@ -773,10 +728,10 @@ def _cmd_obs(args) -> int:
     )
     from repro.testbed import build_case_study
 
-    profile = (_build_profiler(args) if _profile_requested(args)
-               else args.profile)
-    world = build_case_study(seed=args.seed, trace=True, metrics=True,
-                             profile=profile)
+    registry, profiler = _obs_tools(args, registry=True)
+    world = build_case_study(
+        seed=args.seed, trace=True, metrics=registry,
+        profile=profiler if profiler is not None else False)
     planner = DetourPlanner(world, runs_per_route=args.runs,
                             discard_runs=1 if args.runs > 1 else 0)
     comparison = planner.compare(args.client, args.provider,
@@ -796,46 +751,54 @@ def _cmd_obs(args) -> int:
             out.write(f"trace: {len(world.tracer)} event(s), "
                       f"{world.tracer.dropped} dropped\n\n")
             out.write(render_metrics_table(world.metrics) + "\n")
-            if args.profile and world.profiler is not None:
-                out.write("\n" + world.profiler.report() + "\n")
+            if args.profile:
+                out.write("\n" + profiler.report() + "\n")
     finally:
         if out is not sys.stdout:
             out.close()
             print(f"wrote {args.fmt} export to {args.out}")
-    if world.profiler is not None:
-        _write_profile_exports(world.profiler, args)
+    if profiler is not None:
+        _write_profile_exports(profiler, args)
     return 0
 
 
+def _export(spec, store, out: Optional[str], what: str = "cell") -> int:
+    """Canonical JSON of *store*'s cells for *spec*, to stdout or *out*."""
+    from repro.campaign import export_campaign
+
+    if out in (None, "-"):
+        export_campaign(spec, store, sys.stdout)
+    else:
+        with open(out, "w", encoding="utf-8") as fp:
+            n = export_campaign(spec, store, fp)
+        print(f"exported {n} {what} record(s) to {out}")
+    return 0
+
+
+def _missing(status, cap: int) -> int:
+    """List up to *cap* missing cells; exit 0 only when none is missing
+    and none errored."""
+    for desc in status["missing_cells"][:cap]:
+        print(f"  missing: {desc}")
+    if status["missing"] > cap:
+        print(f"  ... and {status['missing'] - cap} more")
+    return 0 if status["missing"] == 0 and status["error"] == 0 else 1
+
+
 def _cmd_campaign(args) -> int:
-    from repro.campaign import (
-        CampaignRunner,
-        PoolConfig,
-        campaign_status,
-        export_campaign,
-    )
-    from repro.obs import MetricsRegistry
+    from repro.campaign import CampaignRunner, PoolConfig, campaign_status
 
     spec = _campaign_spec(args)
 
     if args.campaign_command == "run":
         store = _campaign_store(args, required=False)
-        registry = MetricsRegistry()
+        registry, _ = _obs_tools(args, registry=True)
         pool = PoolConfig(jobs=args.jobs, timeout_s=args.timeout_s,
                           retries=args.retries)
-        telemetry = None
-        if args.progress or args.metrics:
-            from repro.obs import TelemetryAggregator, render_event
-
-            on_event = None
-            if args.progress:
-                def on_event(ev):
-                    print(render_event(ev), file=sys.stderr)
-            telemetry = TelemetryAggregator(metrics=registry,
-                                            on_event=on_event)
+        telemetry = _telemetry(args, registry, always=bool(args.metrics))
         result = CampaignRunner(spec, store=store, pool=pool,
                                 metrics=registry, telemetry=telemetry).run()
-        if telemetry is not None and args.progress:
+        if args.progress:
             from repro.obs import render_progress
 
             print(render_progress(telemetry.snapshot()), file=sys.stderr)
@@ -850,8 +813,7 @@ def _cmd_campaign(args) -> int:
         print(f"executed {result.executed}, cached {result.cached}, "
               f"quarantined {result.errors}"
               + (f"; store: {store.root}" if store is not None else ""))
-        if args.metrics:
-            _write_cli_metrics(registry, args.metrics)
+        _obs_epilogue(args, registry, None)
         return 0 if result.errors == 0 else 1
 
     store = _campaign_store(args, required=True)
@@ -876,35 +838,23 @@ def _cmd_campaign(args) -> int:
         print(f"{spec.describe()}")
         print(f"ok {status['ok']}  error {status['error']}  "
               f"missing {status['missing']}  (store: {store.root})")
-        for desc in status["missing_cells"][:20]:
-            print(f"  missing: {desc}")
-        if status["missing"] > 20:
-            print(f"  ... and {status['missing'] - 20} more")
-        return 0 if status["missing"] == 0 and status["error"] == 0 else 1
+        return _missing(status, 20)
 
-    # export
-    if args.out in (None, "-"):
-        export_campaign(spec, store, sys.stdout)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fp:
-            n = export_campaign(spec, store, fp)
-        print(f"exported {n} cell record(s) to {args.out}")
-    return 0
+    return _export(spec, store, args.out)
 
 
-def _broker_sweep_spec(args):
-    """Build a BrokerSweepSpec from the shared fleet flags."""
+def _fleet_axes(args) -> dict:
+    """The workload fields the fleet flags set, as the keyword arguments
+    BrokerSweepSpec, run_fleet and ShardPlan share."""
     from repro.broker import BrokerSweepSpec
 
-    return BrokerSweepSpec(
+    return dict(
         sites=_split_csv(args.sites) or BrokerSweepSpec.sites,
         provider=args.provider,
-        modes=_split_csv(args.modes, sep=";") or BrokerSweepSpec.modes,
         n_uploads_per_site=args.uploads_per_site,
         mean_interarrival_s=args.interarrival_s,
         mean_size_mb=args.size_mb,
         size_dist=args.size_dist,
-        seeds=_split_csv(args.seeds, cast=int) or (0,),
         cross_traffic=not args.no_cross_traffic,
     )
 
@@ -913,25 +863,9 @@ def _cmd_broker(args) -> int:
     from repro.broker import BrokerSweepSpec, run_fleet, score_sweep
 
     if args.broker_command == "simulate":
-        registry = profiler = None
-        if args.metrics:
-            from repro.obs import MetricsRegistry
-
-            registry = MetricsRegistry()
-        if args.profile_trace:
-            from repro.obs import KernelProfiler
-
-            profiler = KernelProfiler(timeline=True)
+        registry, profiler = _obs_tools(args)
         result = run_fleet(
-            seed=args.seed,
-            sites=_split_csv(args.sites) or BrokerSweepSpec.sites,
-            provider=args.provider,
-            n_uploads_per_site=args.uploads_per_site,
-            mean_interarrival_s=args.interarrival_s,
-            mean_size_mb=args.size_mb,
-            size_dist=args.size_dist,
-            mode=args.mode,
-            cross_traffic=not args.no_cross_traffic,
+            seed=args.seed, mode=args.mode, **_fleet_axes(args),
             metrics=registry if registry is not None else False,
             profile=profiler if profiler is not None else False,
         )
@@ -950,47 +884,38 @@ def _cmd_broker(args) -> int:
               f"({result.directory_hits}/{result.directory_hits + result.directory_misses}), "
               f"evictions {result.directory_evictions}, "
               f"admission spills {result.admission_spills}")
-        if registry is not None:
-            _write_cli_metrics(registry, args.metrics)
-        if profiler is not None:
-            _write_profile_exports(profiler, args)
+        _obs_epilogue(args, registry, profiler)
         return 0
 
-    from repro.campaign import CampaignRunner, PoolConfig, export_campaign
+    from repro.campaign import CampaignRunner, PoolConfig
 
-    spec = _broker_sweep_spec(args)
+    spec = BrokerSweepSpec(
+        **_fleet_axes(args),
+        modes=_split_csv(args.modes, sep=";") or BrokerSweepSpec.modes,
+        seeds=_split_csv(args.seeds, cast=int) or (0,))
     store = _campaign_store(args, required=(args.broker_command == "export"))
+    if args.broker_command == "export":
+        return _export(spec, store, args.out, what="fleet cell")
 
-    if args.broker_command == "eval":
-        pool = PoolConfig(jobs=args.jobs)
-        result = CampaignRunner(spec, store=store, pool=pool).run()
-        for rec in result.records:
-            if not rec.ok:
-                print(f"  ERROR {rec.cell.describe():<52} {rec.error.describe()}")
-        print(spec.describe())
-        print(f"executed {result.executed}, cached {result.cached}, "
-              f"quarantined {result.errors}"
-              + (f"; store: {store.root}" if store is not None else ""))
-        if result.errors:
-            return 1
-        summary = score_sweep(spec, result.records)
-        print()
-        print(summary.render())
-        if args.metrics:
-            from repro.obs import MetricsRegistry
-
-            registry = MetricsRegistry()
-            summary.to_metrics(registry)
-            _write_cli_metrics(registry, args.metrics)
-        return 0
-
-    # export
-    if args.out in (None, "-"):
-        export_campaign(spec, store, sys.stdout)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fp:
-            n = export_campaign(spec, store, fp)
-        print(f"exported {n} fleet cell record(s) to {args.out}")
+    # eval
+    result = CampaignRunner(spec, store=store,
+                            pool=PoolConfig(jobs=args.jobs)).run()
+    for rec in result.records:
+        if not rec.ok:
+            print(f"  ERROR {rec.cell.describe():<52} {rec.error.describe()}")
+    print(spec.describe())
+    print(f"executed {result.executed}, cached {result.cached}, "
+          f"quarantined {result.errors}"
+          + (f"; store: {store.root}" if store is not None else ""))
+    if result.errors:
+        return 1
+    summary = score_sweep(spec, result.records)
+    print()
+    print(summary.render())
+    registry, _ = _obs_tools(args)
+    if registry is not None:
+        summary.to_metrics(registry)
+    _obs_epilogue(args, registry, None)
     return 0
 
 
@@ -1056,51 +981,19 @@ def _cmd_lint(args) -> int:
     )
 
 
-def _write_cli_metrics(registry, dest: str) -> None:
-    """Shared `--metrics` epilogue: '-' prints a table, else Prometheus."""
-    from repro.obs import render_metrics_table, render_prometheus
-
-    if dest == "-":
-        print()
-        print(render_metrics_table(registry))
-    else:
-        with open(dest, "w", encoding="utf-8") as fp:
-            fp.write(render_prometheus(registry))
-        print(f"wrote Prometheus metrics to {dest}")
-
 
 def _cmd_shard(args) -> int:
     from repro.shard import ShardPlan, merge_sharded, run_sharded, shard_status
     from repro.shard.runner import read_run_file
 
     if args.shard_command == "run":
-        from repro.broker import BrokerSweepSpec
-
-        registry = None
-        if args.metrics or args.progress:
-            from repro.obs import MetricsRegistry
-
-            registry = MetricsRegistry()
-        telemetry = None
-        if args.progress:
-            from repro.obs import TelemetryAggregator, render_event
-
-            def on_event(ev):
-                print(render_event(ev), file=sys.stderr)
-
-            telemetry = TelemetryAggregator(metrics=registry,
-                                            on_event=on_event)
+        registry, _ = _obs_tools(args, registry=args.progress)
+        telemetry = _telemetry(args, registry)
         plan = ShardPlan(
-            sites=_split_csv(args.sites) or BrokerSweepSpec.sites,
-            provider=args.provider,
+            **_fleet_axes(args),
             modes=_split_csv(args.modes, sep=";") or ("direct", "broker"),
             n_shards=args.shards,
-            n_uploads_per_site=args.uploads_per_site,
-            mean_interarrival_s=args.interarrival_s,
-            mean_size_mb=args.size_mb,
-            size_dist=args.size_dist,
             seed=args.seed,
-            cross_traffic=not args.no_cross_traffic,
             topo=_load_topo_spec(args.topo) if args.topo else None,
         )
         result = run_sharded(
@@ -1114,8 +1007,7 @@ def _cmd_shard(args) -> int:
         print(f"executed {result.executed}, cached {result.cached}; "
               f"root: {args.root}")
         print(result.merge.render(per_site=args.per_site))
-        if args.metrics:
-            _write_cli_metrics(registry, args.metrics)
+        _obs_epilogue(args, registry, None)
         return 0
 
     payload = read_run_file(args.root)
@@ -1130,24 +1022,15 @@ def _cmd_shard(args) -> int:
         print(f"site reports {status['reports_published']}"
               f"/{status['reports_expected']}; merged snapshot "
               f"{'published' if status['merged_published'] else 'missing'}")
-        for desc in status["missing_cells"][:10]:
-            print(f"  missing: {desc}")
-        if status["missing"] > 10:
-            print(f"  ... and {status['missing'] - 10} more")
-        return 0 if status["missing"] == 0 and status["error"] == 0 else 1
+        return _missing(status, 10)
 
     # merge
-    registry = None
-    if args.metrics:
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry()
+    registry, _ = _obs_tools(args)
     merge = merge_sharded(plan, args.root, warm_hash=warm_hash,
                           metrics=registry)
     print(plan.describe())
     print(merge.render(per_site=args.per_site))
-    if args.metrics:
-        _write_cli_metrics(registry, args.metrics)
+    _obs_epilogue(args, registry, None)
     return 0
 
 
@@ -1221,6 +1104,7 @@ def _cmd_topo(args) -> int:
     return 0
 
 
+
 _COMMANDS = {
     "compare": _cmd_compare,
     "report": _cmd_report,
@@ -1242,9 +1126,17 @@ _COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point; returns a process exit code."""
+    """Entry point; returns a process exit code.
+
+    A library error (any ReproError) or a failed file operation is one
+    ``repro: error: <message>`` line on stderr and exit status 1.
+    """
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except (ReproError, OSError) as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":
