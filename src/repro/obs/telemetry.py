@@ -49,6 +49,13 @@ EVENT_KINDS: Tuple[str, ...] = (
     "shard_merged",      # a shard merge published the fleet's directory
 )
 
+#: What a shard event's ``count`` counts (cell events carry no count).
+_COUNT_NOUNS = {
+    "shard_warmed": "entries",
+    "shard_published": "site reports",
+    "shard_merged": "entries",
+}
+
 
 @dataclass(frozen=True)
 class TelemetryEvent:
@@ -58,7 +65,9 @@ class TelemetryEvent:
     worker-measured wall time of the finished attempt (0 otherwise);
     ``queue_depth`` / ``running`` are the pool's backlog and in-flight
     counts at the instant the event fired; ``worker`` is the OS pid of
-    the worker process (0 on the in-process serial path).
+    the worker process (0 on the in-process serial path); ``count`` is
+    the size of a shard step (warm or merged directory entries,
+    published site reports), 0 on cell events.
     """
 
     kind: str
@@ -71,6 +80,7 @@ class TelemetryEvent:
     queue_depth: int = 0
     running: int = 0
     worker: int = 0
+    count: int = 0
 
     def __post_init__(self) -> None:
         if self.kind not in EVENT_KINDS:
@@ -85,7 +95,7 @@ class TelemetryEvent:
             "attempt": self.attempt, "status": self.status,
             "error_kind": self.error_kind, "wall_s": self.wall_s,
             "queue_depth": self.queue_depth, "running": self.running,
-            "worker": self.worker,
+            "worker": self.worker, "count": self.count,
         }
 
     @classmethod
@@ -236,13 +246,15 @@ class TelemetryAggregator:
 
 def render_event(ev: TelemetryEvent) -> str:
     """One streaming log line per event (``campaign run --progress``)."""
-    bits = [f"{ev.kind[5:]:<11}", f"#{ev.index:<3}"]
+    bits = [f"{ev.kind.split('_', 1)[1]:<11}", f"#{ev.index:<3}"]
     if ev.attempt > 1:
         bits.append(f"attempt {ev.attempt}")
     if ev.kind == "cell_finished":
         bits.append(f"{ev.status or 'ok'} in {ev.wall_s:.2f}s")
     elif ev.kind in ("cell_retried", "cell_quarantined") and ev.error_kind:
         bits.append(ev.error_kind)
+    if ev.kind in _COUNT_NOUNS:
+        bits.append(f"{ev.count} {_COUNT_NOUNS[ev.kind]}")
     if ev.queue_depth or ev.running:
         bits.append(f"[{ev.running} running, {ev.queue_depth} queued]")
     bits.append(ev.cell)

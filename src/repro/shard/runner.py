@@ -186,7 +186,7 @@ def run_sharded(
         warm_hash = warm.content_hash()[:24]
         if sink is not None:
             sink(TelemetryEvent("shard_warmed", warm_from, 0, status="ok",
-                                queue_depth=len(warm)))
+                                count=len(warm)))
 
     if plan.topo is not None:
         # Compile the generated world once, in the parent: every worker
@@ -225,7 +225,7 @@ def run_sharded(
     if sink is not None:
         sink(TelemetryEvent("shard_published", plan.describe(), 0,
                             status="ok",
-                            queue_depth=sum(len(c.sites) for c in cells)))
+                            count=sum(len(c.sites) for c in cells)))
     merge = merge_sharded(plan, root, warm_hash=warm_hash, metrics=metrics,
                           telemetry=telemetry)
     return ShardRunResult(
@@ -324,7 +324,7 @@ def merge_sharded(
     sink = as_sink(telemetry)
     if sink is not None:
         sink(TelemetryEvent("shard_merged", plan.merged_snapshot_name, 0,
-                            status="ok", queue_depth=len(merged)))
+                            status="ok", count=len(merged)))
     return ShardMergeResult(
         score=score,
         rollup=rollup,

@@ -5,7 +5,8 @@ A compiled world depends only on its spec (routes are computed on
 and never changes hop sequences).  So the whole
 :class:`~repro.topo.compiled.CompiledTopology`, precompiled routes
 included, is cached under the spec's content hash: ``routes-<hash>.npz``
-written by :meth:`CompiledTopology.save`, plus a JSON sidecar carrying
+written by :meth:`CompiledTopology.save` (level-1 deflate; entries an
+older writer deflated at level 6 load the same), plus a JSON sidecar carrying
 the cache version and the sha256 of the payload file.  A warm compile
 loads it and skips ``generate``, the array build and route resolution.
 
@@ -117,7 +118,6 @@ class RouteCache:
             "version": ROUTE_CACHE_VERSION,
             "key": key,
         }
-        # temp name keeps the .npz suffix so numpy doesn't append one;
         # payload publishes before its sidecar so a reader that sees the
         # sidecar always finds a complete payload to checksum.
         with atomic_write(payload, suffix=".npz") as tmp_payload:

@@ -18,10 +18,13 @@ Expands a synthetic :class:`~repro.topo.spec.TopoSpec` into a
 
 Every random draw comes from a named :class:`~repro.sim.rng.RngRegistry`
 stream derived from ``params.seed``, and every loop runs in index order,
-so the same spec expands to the same graph on any machine.  Generated
-site keys are namespaced by the spec's content-hash tag
-(``w1a2b3c-c0007``) so registering them never collides with the
-case-study registry or with other generated worlds.
+so the same spec expands to the same graph on any machine.  Each tier
+primes its named streams in one batch before its loop
+(:meth:`~repro.sim.rng.RngRegistry.prime`: the same draws as seeding
+them one by one, at a fraction of the cost).  Generated site keys are
+namespaced by the spec's content-hash tag (``w1a2b3c-c0007``) so
+registering them never collides with the case-study registry or with
+other generated worlds.
 """
 
 from __future__ import annotations
@@ -154,6 +157,7 @@ class _Builder:
     def build_transit(self) -> List[str]:
         p = self.p
         routers = []
+        self.rng.prime(f"topo.geo.transit.{i}" for i in range(p.n_transit))
         for i in range(p.n_transit):
             region = p.regions[i % len(p.regions)]
             loc = self.scatter(region, f"topo.geo.transit.{i}", 0.25)
@@ -172,6 +176,9 @@ class _Builder:
     def build_mid(self, transit_routers: List[str]) -> List[str]:
         p = self.p
         routers = []
+        self.rng.prime(["topo.peer.mid"] + [
+            f"topo.{family}.mid.{i}"
+            for i in range(p.n_mid) for family in ("region", "geo")])
         for i in range(p.n_mid):
             region = p.regions[self.pick_region(f"topo.region.mid.{i}")]
             loc = self.scatter(region, f"topo.geo.mid.{i}", 0.5)
@@ -199,9 +206,11 @@ class _Builder:
 
     def build_providers(self, transit_routers: List[str]) -> None:
         p = self.p
-        for k in range(p.n_providers):
-            name = (_PROVIDER_NAMES[k] if k < len(_PROVIDER_NAMES)
-                    else f"cloud{k}")
+        names = [_PROVIDER_NAMES[k] if k < len(_PROVIDER_NAMES)
+                 else f"cloud{k}" for k in range(p.n_providers)]
+        self.rng.prime(f"topo.geo.pop.{name}.{j}" for name in names
+                       for j in range(p.pops_per_provider))
+        for k, name in enumerate(names):
             asn = _ASN_PROVIDER + k
             self.ases.append(AsRec(asn, name, "provider"))
             pop_routers: List[str] = []
@@ -254,6 +263,9 @@ class _Builder:
                 key=lambda r: (haversine_km(
                     loc, GeoPoint(p.regions[r].lat, p.regions[r].lon)), r))
         degree = [0] * len(mid_routers)
+        self.rng.prime(["topo.attach.stub"] + [
+            f"topo.{family}.stub.{i}"
+            for i in range(p.n_stub) for family in ("region", "geo")])
         attach_gen = self.rng.stream("topo.attach.stub")
         borders: Dict[int, Tuple[str, GeoPoint]] = {}
         for i in range(p.n_stub):
@@ -303,6 +315,15 @@ class _Builder:
                     loc, GeoPoint(p.regions[r].lat, p.regions[r].lon)), r))
             stub_by_region.setdefault(region_idx, []).append(asn)
         all_stubs = sorted(borders)
+        # lognormal_factor draws nothing at sigma 0, so those go unprimed
+        families = ["topo.region.client.{}", "topo.geo.client.{}"]
+        if p.access_sigma > 0:
+            families.append("topo.access.cap.{}")
+        if p.site_population_sigma > 0:
+            families.append("topo.population.{}")
+        self.rng.prime(["topo.place.client"] + [
+            family.format(i)
+            for i in range(p.n_client_sites) for family in families])
         place_gen = self.rng.stream("topo.place.client")
         for i in range(p.n_client_sites):
             region_idx = self.pick_region(f"topo.region.client.{i}")
@@ -329,6 +350,7 @@ class _Builder:
 
     def build_dtns(self, mid_routers: List[str]) -> None:
         p = self.p
+        self.rng.prime(f"topo.geo.dtn.{j}" for j in range(p.n_dtn_sites))
         for j in range(p.n_dtn_sites):
             region = p.regions[j % len(p.regions)]
             loc = self.scatter(region, f"topo.geo.dtn.{j}", 0.3)

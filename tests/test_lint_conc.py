@@ -266,6 +266,19 @@ def test_sl1002_exempt_file_is_clean(tmp_path):
     assert _findings(_run(tmp_path, files, cfg), "SL1002") == []
 
 
+def test_sl1002_sees_the_route_cache_payload_writer(tmp_path):
+    # CompiledTopology.save deflates through zipfile, which is no dump
+    # sink; its open(path, "wb") is what keeps the write visible.
+    source = (Path(__file__).resolve().parent.parent / "src" / "repro"
+              / "topo" / "compiled.py").read_text(encoding="utf-8")
+    result = _run(tmp_path, {"work/compiled.py": source},
+                  _conc_cfg("work.compiled.CompiledTopology.save"))
+    sl1002 = _findings(result, "SL1002")
+    assert [f.message.split(" in worker-reachable")[0] for f in sl1002] == \
+        ["non-atomic durable write `open(..., 'wb')`"]
+    assert "CompiledTopology.save" in sl1002[0].message
+
+
 # -- SL1003: unguarded tier read-modify-write --------------------------
 
 

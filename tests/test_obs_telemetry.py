@@ -292,4 +292,15 @@ class TestEventKindsCatalogue:
     def test_every_kind_is_constructible_and_rendered(self):
         for kind in EVENT_KINDS:
             line = render_event(TelemetryEvent(kind, "c", 0))
-            assert kind[5:] in line
+            # the label is the kind minus its family prefix, whole
+            assert line.split()[0] == kind.split("_", 1)[1]
+            assert not line.startswith("_")
+
+    def test_shard_kinds_render_their_count_not_queue_state(self):
+        shard_kinds = [k for k in EVENT_KINDS if k.startswith("shard_")]
+        assert shard_kinds
+        for kind in shard_kinds:
+            line = render_event(TelemetryEvent(kind, "plan", 0, status="ok",
+                                               count=7))
+            assert " 7 " in line
+            assert "queued" not in line and "running" not in line

@@ -158,8 +158,11 @@ class TestWarmGenerations:
         # direct-mode numbers are untouched by warming
         assert warm.merge.score.by_site[("direct", "ubc")] == \
             cold.merge.score.by_site[("direct", "ubc")]
-        assert [e.kind for e in telemetry if e.kind.startswith("shard")] == \
+        shard_events = [e for e in telemetry if e.kind.startswith("shard")]
+        assert [e.kind for e in shard_events] == \
             ["shard_warmed", "shard_published", "shard_merged"]
+        # sizes ride in count; the pool's queue state is not theirs
+        assert all(e.count > 0 and e.queue_depth == 0 for e in shard_events)
 
         run_file = read_run_file(tmp_path)
         assert run_file["warm_from"] == plan.merged_snapshot_name

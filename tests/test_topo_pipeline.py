@@ -16,12 +16,14 @@ import hashlib
 import json
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core import DirectRoute, PlanExecutor, TransferPlan
+from repro.core.identity import canonical_json
 from repro.errors import RoutingError, TopoError, TopologyError
 from repro.net import Node, NodeKind, Topology
 from repro.obs.metrics import MetricsRegistry
@@ -56,6 +58,11 @@ from repro.units import mb
 pytestmark = pytest.mark.topo
 
 SMOKE = preset_spec("smoke", seed=0)
+
+#: sha256 of metro/7's generated graph (canonical JSON), as generated
+#: with every stream seeded by its own ``np.random.default_rng``.
+METRO_7_GRAPH_DIGEST = \
+    "5e5dd4ddfb587ed6bf8f4b32407df61a4a4fc49bd4b455006b376c73aed11bef"
 
 
 class TestSpec:
@@ -94,6 +101,22 @@ class TestGenerator:
         stats = g.stats()
         assert stats["dtns"] == 1 and stats["providers"] == 2
         assert stats["hosts"] > 0 and stats["links"] >= stats["nodes"] - 1
+
+    def test_streams_are_batch_seeded_with_the_same_draws(self, monkeypatch):
+        """No stream is seeded one at a time, and the graph is the one
+        per-stream seeding produced (digest taken before batch seeding)."""
+        scalar_calls = []
+        real = np.random.default_rng
+
+        def counting(*args, **kwargs):
+            scalar_calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        graph = generate(preset_spec("metro", seed=7))
+        assert scalar_calls == []
+        assert hashlib.sha256(canonical_json(graph.to_dict()).encode()) \
+            .hexdigest() == METRO_7_GRAPH_DIGEST
 
 
 class TestCompiled:
@@ -136,6 +159,18 @@ class TestCompiled:
         path.write_bytes(bytes(blob))
         with pytest.raises(TopoError, match="cannot load"):
             CompiledTopology.load(str(path))
+
+    def test_level_1_payload_round_trips_in_savez_layout(self, tmp_path):
+        compiled = compile_spec(SMOKE, routes=True)
+        path = tmp_path / "smoke.npz"
+        compiled.save(str(path))
+        with zipfile.ZipFile(path) as archive:
+            infos = archive.infolist()
+        assert [i.filename for i in infos] == \
+            ["__meta__.npy"] + [f"{key}.npy" for key in compiled.arrays]
+        assert {i.compress_type for i in infos} == {zipfile.ZIP_DEFLATED}
+        clone = CompiledTopology.load(str(path))
+        assert clone.content_digest() == compiled.content_digest()
 
     def test_to_graph_is_lossless(self):
         compiled = compile_spec(SMOKE, routes=False)
@@ -300,6 +335,26 @@ class TestRouteCache:
         assert healed.content_digest() == cold.content_digest()
         served = compile_spec(SMOKE, cache_dir=str(tmp_path), instrumentation=obs)
         assert (obs.cache_corrupt.value(), obs.cache_hits.value()) == (1.0, 1.0)
+        assert served.content_digest() == cold.content_digest()
+
+    def test_level_6_entry_of_an_older_writer_is_a_hit(self, tmp_path):
+        cold = compile_spec(SMOKE, routes=True)
+        key = SMOKE.content_hash()
+        cache = RouteCache(str(tmp_path))
+        # the entry the np.savez_compressed writer left: same members,
+        # same sidecar, deflated at level 6
+        payload = cache.payload_path(key)
+        np.savez_compressed(
+            payload, __meta__=np.array([canonical_json(dict(cold.meta))]),
+            **cold.arrays)
+        Path(cache.sidecar_path(key)).write_text(json.dumps({
+            "version": 2, "key": key,
+            "sha256": hashlib.sha256(Path(payload).read_bytes()).hexdigest()},
+            sort_keys=True))
+
+        obs = TopoInstrumentation(metrics=MetricsRegistry())
+        served = compile_spec(SMOKE, cache_dir=str(tmp_path), instrumentation=obs)
+        assert (obs.cache_hits.value(), obs.cache_corrupt.value()) == (1.0, 0.0)
         assert served.content_digest() == cold.content_digest()
 
     def test_payload_of_another_spec_is_rejected(self, tmp_path):
