@@ -11,7 +11,8 @@ falls back to congested commodity transit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import insort
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
@@ -53,6 +54,8 @@ class ASGraph:
         # rel[(a, b)] = relationship of b from a's point of view
         self._rel: Dict[Tuple[int, int], Relationship] = {}
         self._neighbors: Dict[int, Set[int]] = {}
+        # sorted neighbors of each AS, by their relationship to it
+        self._related: Dict[int, Dict[Relationship, List[int]]] = {}
         # export filter: (announcer, neighbor) -> denied destination ASNs
         self._export_deny: Dict[Tuple[int, int], FrozenSet[int]] = {}
 
@@ -66,6 +69,7 @@ class ASGraph:
         self.ases[asys.number] = asys
         self._by_name[asys.name] = asys
         self._neighbors[asys.number] = set()
+        self._related[asys.number] = {rel: [] for rel in Relationship}
         return asys
 
     def _check(self, asn: int) -> None:
@@ -88,6 +92,8 @@ class ASGraph:
         self._rel[(b, a)] = inverse
         self._neighbors[a].add(b)
         self._neighbors[b].add(a)
+        insort(self._related[a][rel_of_b_from_a], b)
+        insort(self._related[b][inverse], a)
 
     def add_customer(self, provider: int, customer: int) -> None:
         """Declare *customer* buys transit from *provider*."""
@@ -129,13 +135,18 @@ class ASGraph:
         return sorted(self._neighbors[asn])
 
     def customers(self, asn: int) -> List[int]:
-        return [n for n in self.neighbors(asn) if self._rel[(asn, n)] is Relationship.CUSTOMER]
+        return self._related_as(asn, Relationship.CUSTOMER)
 
     def providers(self, asn: int) -> List[int]:
-        return [n for n in self.neighbors(asn) if self._rel[(asn, n)] is Relationship.PROVIDER]
+        return self._related_as(asn, Relationship.PROVIDER)
 
     def peers(self, asn: int) -> List[int]:
-        return [n for n in self.neighbors(asn) if self._rel[(asn, n)] is Relationship.PEER]
+        return self._related_as(asn, Relationship.PEER)
+
+    def _related_as(self, asn: int, rel: Relationship) -> List[int]:
+        """Sorted neighbors of *asn* that are its *rel* (a copy)."""
+        self._check(asn)
+        return list(self._related[asn][rel])
 
     def may_export(self, announcer: int, neighbor: int, dest: int) -> bool:
         """Does *announcer*'s export filter allow advertising *dest*?"""

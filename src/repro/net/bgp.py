@@ -62,13 +62,14 @@ class BgpRoute:
         return f"{'-'.join(map(str, self.path))} [{self.route_type.name.lower()}]"
 
 
-def _better(a: Optional[BgpRoute], b: BgpRoute) -> bool:
-    """True if *b* beats *a* under (type, length, next-hop ASN)."""
-    if a is None:
-        return True
-    ka = (a.route_type, a.length, a.next_as)
-    kb = (b.route_type, b.length, b.next_as)
-    return kb < ka
+def _key(route: BgpRoute) -> Tuple[RouteType, int, int]:
+    """Selection key of *route*: (type, length, next-hop ASN), lower wins."""
+    return (route.route_type, len(route.path) - 1, route.next_as)
+
+
+def _beats(key: Tuple[RouteType, int, int], held: Optional[BgpRoute]) -> bool:
+    """Does a candidate with selection *key* beat the *held* route?"""
+    return held is None or key < _key(held)
 
 
 class BgpRouteComputer:
@@ -77,17 +78,24 @@ class BgpRouteComputer:
     ``edge_usable(a, b)`` optionally gates each AS adjacency on physical
     reality — a BGP session needs a live link, so adjacencies whose
     inter-AS links are all down disappear from route computation (the
-    session-reset behaviour real failures trigger).  Callers that change
-    link state must :meth:`invalidate`.
+    session-reset behaviour real failures trigger).  Its answer is
+    remembered per AS pair, so callers that change link state must
+    :meth:`invalidate`.
     """
 
     def __init__(self, graph: ASGraph, edge_usable=None):
         self.graph = graph
         self.edge_usable = edge_usable
         self._cache: Dict[int, Dict[int, BgpRoute]] = {}
+        self._usable_memo: Dict[Tuple[int, int], bool] = {}
 
     def _usable(self, a: int, b: int) -> bool:
-        return self.edge_usable is None or bool(self.edge_usable(a, b))
+        if self.edge_usable is None:
+            return True
+        usable = self._usable_memo.get((a, b))
+        if usable is None:
+            usable = self._usable_memo[(a, b)] = bool(self.edge_usable(a, b))
+        return usable
 
     def table_for(self, dest: int) -> Dict[int, BgpRoute]:
         """Routing table ``{asn: selected route to dest}``; cached."""
@@ -105,8 +113,9 @@ class BgpRouteComputer:
         return route
 
     def invalidate(self) -> None:
-        """Drop cached tables (after topology/policy edits)."""
+        """Drop cached tables and adjacency usability (after topology/policy edits)."""
         self._cache.clear()
+        self._usable_memo.clear()
 
     # -- computation ----------------------------------------------------------
 
@@ -116,6 +125,10 @@ class BgpRouteComputer:
             raise RoutingError(f"unknown destination AS {dest}")
 
         origin = BgpRoute(dest, (dest,), RouteType.ORIGIN)
+
+        # A candidate announced by x over a path starting at x has length
+        # len(path) and next hop x, so its key is known before it is built;
+        # only a candidate that wins becomes a BgpRoute.
 
         # Phase 1: customer routes climb provider edges.
         customer: Dict[int, BgpRoute] = {dest: origin}
@@ -129,10 +142,9 @@ class BgpRouteComputer:
                     continue
                 if not g.may_export(x, p, dest) or not self._usable(x, p):
                     continue
-                cand = BgpRoute(dest, (p,) + path, RouteType.CUSTOMER)
-                if _better(customer.get(p), cand):
-                    customer[p] = cand
-                    heapq.heappush(heap, (cand.length, p, cand.path))
+                if _beats((RouteType.CUSTOMER, len(path), x), customer.get(p)):
+                    cand = customer[p] = BgpRoute(dest, (p,) + path, RouteType.CUSTOMER)
+                    heapq.heappush(heap, (len(path), p, cand.path))
 
         # Phase 2: peer routes — one peering edge on top of a customer route.
         peer: Dict[int, BgpRoute] = {}
@@ -142,15 +154,14 @@ class BgpRouteComputer:
                     continue
                 if not g.may_export(y, x, dest) or not self._usable(y, x):
                     continue
-                cand = BgpRoute(dest, (x,) + yroute.path, RouteType.PEER)
-                if _better(peer.get(x), cand):
-                    peer[x] = cand
+                if _beats((RouteType.PEER, len(yroute.path), y), peer.get(x)):
+                    peer[x] = BgpRoute(dest, (x,) + yroute.path, RouteType.PEER)
 
         # best "up" route per AS (customer beats peer by type rank)
         best: Dict[int, BgpRoute] = {}
         for x in sorted(set(customer) | set(peer)):
             for cand in (customer.get(x), peer.get(x)):
-                if cand is not None and _better(best.get(x), cand):
+                if cand is not None and _beats(_key(cand), best.get(x)):
                     best[x] = cand
 
         # Phase 3: provider routes descend customer edges from every AS's
@@ -160,7 +171,6 @@ class BgpRouteComputer:
         heap2: List[Tuple[int, int, int]] = []  # (exportable length, next asn tiebreak, asn)
         for x, route in best.items():
             heapq.heappush(heap2, (route.length, route.next_as, x))
-        provider: Dict[int, BgpRoute] = {}
         while heap2:
             length, _tie, x = heapq.heappop(heap2)
             xroute = best.get(x)
@@ -171,11 +181,9 @@ class BgpRouteComputer:
                     continue
                 if not g.may_export(x, z, dest) or not self._usable(x, z):
                     continue
-                cand = BgpRoute(dest, (z,) + xroute.path, RouteType.PROVIDER)
-                if _better(best.get(z), cand):
-                    best[z] = cand
-                    provider[z] = cand
-                    heapq.heappush(heap2, (cand.length, cand.next_as, z))
+                if _beats((RouteType.PROVIDER, len(xroute.path), x), best.get(z)):
+                    best[z] = BgpRoute(dest, (z,) + xroute.path, RouteType.PROVIDER)
+                    heapq.heappush(heap2, (len(xroute.path), x, z))
 
         return best
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.errors import RoutingError
+from repro.errors import RoutingError, TopologyError
 from repro.net.asn import ASGraph
 from repro.net.bgp import BgpRouteComputer
 from repro.net.policy import PolicyTable
@@ -83,9 +83,15 @@ class Router:
         #: host) inside the destination's AS and by (router, destination
         #: AS) elsewhere, for the current link state; see :meth:`_next_hop`
         self._next_hops: Dict[Tuple[str, Union[str, int]], str] = {}
+        #: hops from a node to a destination host over rule-free
+        #: routers, by (node, destination host), for the current link
+        #: state; see :meth:`walk`
+        self._suffixes: Dict[Tuple[str, str], Tuple[str, ...]] = {}
         #: next-hop decisions made, and answered from ``_next_hops``
         self.next_hops_computed = 0
         self.next_hops_reused = 0
+        #: walks completed by joining a remembered suffix
+        self.suffixes_joined = 0
 
     # -- public API ---------------------------------------------------------
 
@@ -109,38 +115,57 @@ class Router:
         forwarding loop, a path over ``_MAX_HOPS`` hops or no next hop,
         and :class:`TopologyError` for an unknown node or a destination
         unreachable inside its own AS.
+
+        Only a PBR rule reads the packet's source, so the hops from a
+        node to *dst* over routers holding no rule are the same for
+        every source until :meth:`invalidate`.  A finished walk
+        remembers each such suffix after its source.  A later walk
+        joins one at the first hop that has one, when the joined path
+        fits ``_MAX_HOPS`` and revisits no node already walked;
+        otherwise it goes on hop by hop, so a loop or an overlong path
+        is reported as it would be without them.
         """
         topo = self.topology
         s, d = topo.node(src), topo.node(dst)
         if src == dst:
             raise RoutingError(f"source and destination are the same host: {src}")
-        nodes = [s.name]
+        nodes = [src]
         cur = s
-        for _ in range(_MAX_HOPS):
-            if cur.name == d.name:
-                break
+        while cur is not d:
+            if len(nodes) > _MAX_HOPS:
+                raise RoutingError(f"path {src}->{dst} exceeds {_MAX_HOPS} hops")
             nxt = self._next_hop(cur, s, d)
             if nxt in nodes:
                 raise RoutingError(
                     f"forwarding loop resolving {src}->{dst}: revisit {nxt} "
                     f"(path so far: {' -> '.join(nodes)})"
                 )
+            suffix = self._suffixes.get((nxt, dst))
+            if (suffix is not None
+                    and len(nodes) + len(suffix) - 1 <= _MAX_HOPS
+                    and set(suffix).isdisjoint(nodes)):
+                self.suffixes_joined += 1
+                if len(nodes) > 1:
+                    self._remember_suffixes(nodes[1:], suffix)
+                nodes.extend(suffix)
+                return nodes
             nodes.append(nxt)
             cur = topo.node(nxt)
-        else:
-            raise RoutingError(f"path {src}->{dst} exceeds {_MAX_HOPS} hops")
+        self._remember_suffixes(nodes[1:-1], (dst,))
         return nodes
 
     def invalidate(self) -> None:
         """Drop caches after topology or policy changes.
 
-        Precompiled hop lists not yet finalised, and the next-hop memo,
-        are dropped too: they were computed for the old topology.
+        Precompiled hop lists not yet finalised, the next-hop memo and
+        the remembered suffixes are dropped too: they were computed for
+        the old topology.
         """
         self._path_cache.clear()
         self._pending.clear()
         self._trees.clear()
         self._next_hops.clear()
+        self._suffixes.clear()
         self.bgp.invalidate()
 
     def preload(self, node_paths: Iterable[Sequence[str]]) -> int:
@@ -230,10 +255,59 @@ class Router:
         hop = self._next_hops.get(key)
         if hop is None:
             self.next_hops_computed += 1
-            hop = self._next_hops[key] = self._decide_next_hop(cur, src, dst)
+            hop = self._uplink_hop(cur, src, dst)
+            if hop is None:
+                hop = self._decide_next_hop(cur, src, dst)
+            self._next_hops[key] = hop
         else:
             self.next_hops_reused += 1
         return hop
+
+    def _uplink_hop(self, cur: Node, src: Node, dst: Node) -> Optional[str]:
+        """Next hop of a single-homed node from its neighbour's, or None.
+
+        When *cur*'s one link is live and leads to a router *N* of its
+        own AS, and neither holds a PBR rule, every IGP path out of
+        *cur* starts with that link and *cur* is no border, so *cur*
+        forwards to *N* exactly when *N* is *dst* or *N*'s own decision
+        succeeds.  None means "decide in full", which is also how an
+        error is reported as *cur*'s own rather than *N*'s.
+        """
+        topo = self.topology
+        nbrs = topo.neighbors(cur.name)
+        if len(nbrs) != 1:
+            return None
+        uplink = nbrs[0]
+        nbr = topo.node(uplink)
+        # a single-homed neighbour would ask *cur* back
+        if (nbr.asn != cur.asn or topo.link_between(cur.name, uplink).failed
+                or self.policy.holds_rules(uplink)
+                or len(topo.neighbors(uplink)) == 1):
+            return None
+        if nbr is not dst:
+            try:
+                self._next_hop(nbr, src, dst)
+            except (RoutingError, TopologyError):
+                return None
+        return uplink
+
+    def _remember_suffixes(self, prefix: List[str],
+                           suffix: Tuple[str, ...]) -> None:
+        """Remember the suffixes of a finished walk that start in *prefix*.
+
+        *prefix* is the walk between its source and *suffix*, which ends
+        at the destination and is remembered already or is the
+        destination alone.  Each longer suffix is remembered until a
+        router holding rules is met, walking back.  The source's own is
+        not: only a walk through the source could join it, and routes
+        start at hosts.
+        """
+        dst = suffix[-1]
+        for name in reversed(prefix):
+            if self.policy.holds_rules(name):
+                break
+            suffix = (name,) + suffix
+            self._suffixes[(name, dst)] = suffix
 
     def _decide_next_hop(self, cur: Node, src: Node, dst: Node) -> str:
         topo = self.topology

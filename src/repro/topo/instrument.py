@@ -53,7 +53,8 @@ class TopoInstrumentation:
         self.next_hops = m.counter(
             "repro_topo_next_hops_total",
             "next-hop decisions of route compiles, by kind: computed, or "
-            "reused from the router's next-hop memo")
+            "reused from the router's next-hop memo; joined counts walks "
+            "completed from a remembered rule-free suffix")
         self.cache_hits = m.counter(
             "repro_topo_route_cache_hits_total", "route-cache lookups served from disk")
         self.cache_misses = m.counter(
@@ -89,7 +90,8 @@ class TopoInstrumentation:
         self.links_count.set(float(n_links))
         self.routes_count.set(float(n_routes))
 
-    def record_next_hops(self, computed: int, reused: int) -> None:
-        """Publish one routes phase's next-hop decisions."""
+    def record_next_hops(self, computed: int, reused: int, joined: int) -> None:
+        """Publish one routes phase's next-hop decisions and suffix joins."""
         self.next_hops.inc(float(computed), kind="computed")
         self.next_hops.inc(float(reused), kind="reused")
+        self.next_hops.inc(float(joined), kind="joined")

@@ -163,7 +163,8 @@ def _compute_routes(graph: TopoGraph,
     """Resolve the standard route set over a skeleton world.
 
     Takes each pair's hop list from :meth:`Router.walk`, which shares
-    one next-hop memo across pairs and finalises nothing.
+    one next-hop memo and its remembered rule-free suffixes across
+    pairs and finalises nothing.
     """
     topo, as_graph, policy = build_skeleton(graph)
     router = Router(topo, as_graph, policy)
@@ -178,7 +179,8 @@ def _compute_routes(graph: TopoGraph,
             # worlds fall back to on-demand resolution
             continue
         paths.append([node_idx[name] for name in nodes])
-    obs.record_next_hops(router.next_hops_computed, router.next_hops_reused)
+    obs.record_next_hops(router.next_hops_computed, router.next_hops_reused,
+                         router.suffixes_joined)
     return paths
 
 

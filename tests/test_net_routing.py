@@ -18,6 +18,7 @@ from repro.net import (
     TcpModel,
     Topology,
 )
+from repro.net import routing
 from repro.sim import RngRegistry, Simulator, Tracer
 from repro.units import mbps, ms
 
@@ -237,3 +238,37 @@ class TestHotPotatoOrderAndInvalidation:
         world.restore_link("bz--hostB")
         assert world.router.resolve("hostA", "hostB").nodes == (
             "hostA", "gwA", "bz", "hostB")
+
+
+def _chain_router(hops: int) -> Router:
+    """Hosts n0 and n<hops> at the ends of a one-AS chain of routers."""
+    topo = Topology()
+    for i in range(hops + 1):
+        kind = NodeKind.HOST if i in (0, hops) else NodeKind.ROUTER
+        topo.add_node(Node(f"n{i}", kind, 100, f"10.0.{i // 200}.{i % 200 + 1}"))
+    for i in range(hops):
+        topo.add_link(Link(f"n{i}", f"n{i + 1}", capacity_bps=mbps(100),
+                           delay_s=ms(1)))
+    asg = ASGraph()
+    asg.add_as(AutonomousSystem(100, "chain"))
+    return Router(topo, asg)
+
+
+class TestHopLimit:
+    def test_a_path_of_exactly_the_limit_resolves(self):
+        router = _chain_router(routing._MAX_HOPS)
+        assert router.resolve("n0", "n64").hop_count == 64 == routing._MAX_HOPS
+
+    def test_one_hop_over_the_limit_raises(self):
+        router = _chain_router(routing._MAX_HOPS + 1)
+        with pytest.raises(RoutingError, match=r"^path n0->n65 exceeds 64 hops$"):
+            router.walk("n0", "n65")
+
+    def test_a_remembered_suffix_is_joined_only_within_the_limit(self):
+        router = _chain_router(routing._MAX_HOPS + 1)
+        assert len(router.walk("n1", "n65")) == 65  # remembers the suffixes from n2
+        with pytest.raises(RoutingError, match=r"^path n0->n65 exceeds 64 hops$"):
+            router.walk("n0", "n65")
+        assert router.suffixes_joined == 0
+        assert router.walk("n2", "n65") == [f"n{i}" for i in range(2, 66)]
+        assert router.suffixes_joined == 1

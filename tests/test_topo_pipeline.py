@@ -222,20 +222,23 @@ def test_compiled_world_golden_digest(make_spec, digest, warm, tmp_path):
     assert compiled.content_digest() == digest
 
 
-@pytest.mark.parametrize("make_spec,computed,total", [
-    pytest.param(lambda: preset_spec("metro", seed=7), 3_011, 15_818,
+@pytest.mark.parametrize("make_spec,computed,reused,joined", [
+    # 3 024 routes, 3 014 of them ending on a remembered suffix
+    pytest.param(lambda: preset_spec("metro", seed=7), 3_011, 3_408, 3_014,
                  id="metro-7"),
-    # its PBR routers decide per packet source, never from the memo
-    pytest.param(case_study_topo_spec, 111, 144, id="case-study"),
+    # its PBR routers decide per packet source, never from the memo, and
+    # end the suffixes remembered behind them
+    pytest.param(case_study_topo_spec, 111, 22, 16, id="case-study"),
 ])
-def test_routes_phase_counts_next_hop_decisions(make_spec, computed, total,
-                                                tmp_path):
+def test_routes_phase_counts_next_hop_decisions(make_spec, computed, reused,
+                                                joined, tmp_path):
     """Exact counts, published once per routes phase (none when warm)."""
     obs = TopoInstrumentation(metrics=MetricsRegistry())
     for _ in range(2):
         compile_spec(make_spec(), cache_dir=str(tmp_path), instrumentation=obs)
     assert obs.next_hops.value(kind="computed") == computed
-    assert obs.next_hops.value(kind="reused") == total - computed
+    assert obs.next_hops.value(kind="reused") == reused
+    assert obs.next_hops.value(kind="joined") == joined
 
 
 class TestItdkRoundTrip:
