@@ -32,10 +32,10 @@ from repro.measure.stats import summarize
 from repro.topo.spec import TopoSpec
 
 from repro.broker.config import BrokerConfig
-from repro.broker.fleet import parse_mode, run_fleet
+from repro.broker.fleet import OracleFold, parse_mode, run_fleet
 
-__all__ = ["FleetCell", "BrokerSweepSpec", "SweepSummary", "score_sweep",
-           "workload_fields", "workload_identity"]
+__all__ = ["FleetCell", "BrokerSweepSpec", "SweepSummary", "fleet_kwargs",
+           "score_sweep", "workload_fields", "workload_identity"]
 
 FLEET_CELL_TYPE = "broker-fleet"
 
@@ -68,6 +68,15 @@ def workload_identity(w) -> Dict[str, object]:
         ident["topo"] = {"hash": w.topo.content_hash(),
                          "spec": w.topo.canonical_dict()}
     return ident
+
+
+def fleet_kwargs(w) -> Dict[str, object]:
+    """:func:`~repro.broker.fleet.run_fleet` keywords for the workload *w*
+    carries, but its sites and seeds."""
+    return dict(provider=w.provider, n_uploads_per_site=w.n_uploads_per_site,
+                mean_interarrival_s=w.mean_interarrival_s,
+                mean_size_mb=w.mean_size_mb, size_dist=w.size_dist,
+                cross_traffic=w.cross_traffic, config=w.config, topo=w.topo)
 
 
 def workload_fields(ident: Mapping[str, object]) -> Dict[str, object]:
@@ -178,21 +187,9 @@ class FleetCell:
 
     def run_measurement(self, metrics=None) -> Measurement:
         """Execute the fleet; per-upload durations become the 'runs'."""
-        result = run_fleet(
-            seed=self.world_seed,
-            sites=self.sites,
-            provider=self.provider,
-            n_uploads_per_site=self.n_uploads_per_site,
-            mean_interarrival_s=self.mean_interarrival_s,
-            mean_size_mb=self.mean_size_mb,
-            size_dist=self.size_dist,
-            mode=self.mode,
-            config=self.config,
-            cross_traffic=self.cross_traffic,
-            metrics=metrics if metrics is not None else False,
-            schedule_seed=self.seed,
-            topo=self.topo,
-        )
+        result = run_fleet(self.world_seed, self.sites, mode=self.mode,
+                           metrics=metrics if metrics is not None else False,
+                           schedule_seed=self.seed, **fleet_kwargs(self))
         durations = list(result.durations_s)
         return Measurement(label=self.label, all_durations_s=tuple(durations),
                            kept=summarize(durations), results=())
@@ -297,28 +294,37 @@ def score_sweep(spec: BrokerSweepSpec, records: Sequence) -> SweepSummary:
     """Score a completed sweep's records (cross-policy regret per seed).
 
     *records* are the campaign's ok records for *spec* (cells still
-    missing or quarantined raise — a partial sweep cannot be scored).
+    missing or quarantined raise — a partial sweep cannot be scored, nor
+    can a stored cell whose duration count is not the workload's).  Each
+    seed's durations go through one :class:`~repro.broker.fleet.OracleFold`
+    in upload order; the summary averages the per-seed means.
     """
     by_cell = {}
     for rec in records:
         if rec.ok:
             by_cell[rec.cell.key] = rec.measurement
+    n = spec.n_uploads_per_site * len(spec.sites)
     durations: Dict[int, Dict[str, Tuple[float, ...]]] = {}
     for cell in spec.expand():
         m = by_cell.get(cell.key)
         if m is None:
             raise BrokerError(f"sweep is missing cell {cell.describe()!r}")
+        got = len(m.all_durations_s)
+        if got != n:
+            raise BrokerError(
+                f"stored cell {cell.describe()!r} has {got} durations, "
+                f"expected {n} ({len(spec.sites)} sites x "
+                f"{spec.n_uploads_per_site})")
         durations.setdefault(cell.seed, {})[cell.mode] = m.all_durations_s
-    n = spec.n_uploads_per_site * len(spec.sites)
-    totals: Dict[str, List[float]] = {m: [0.0, 0.0] for m in spec.modes}
+    modes = tuple(dict.fromkeys(spec.modes))
+    totals: Dict[str, List[float]] = {m: [0.0, 0.0] for m in modes}
     for seed in spec.seeds:
-        per_mode = durations[seed]
-        oracle = [min(per_mode[m][i] for m in spec.modes) for i in range(n)]
+        fold = OracleFold(modes)
+        fold.fold(("", row) for row in zip(*(durations[seed][m]
+                                             for m in modes)))
         for mode in spec.modes:
-            mean_s = sum(per_mode[mode]) / n
-            regret_s = sum(d - o for d, o in zip(per_mode[mode], oracle)) / n
-            totals[mode][0] += mean_s
-            totals[mode][1] += regret_s
+            for i in (0, 1):
+                totals[mode][i] += fold.by_mode[mode][i] / n
     n_seeds = len(spec.seeds)
     return SweepSummary(
         n_uploads=n,

@@ -14,14 +14,16 @@ one world, one kernel process per upload.  Three policies:
 
 ``score_fleet`` computes the regret of each policy against the per-upload
 oracle (the best duration any compared policy achieved for that upload).
+:class:`OracleFold` is that comparison's one implementation: the sweep
+scorer and the shard merge fold their stored durations through it too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import zip_longest
-from typing import (Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
-                    Union)
+from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple, Union)
 
 from repro.core.executor import PlanExecutor
 from repro.core.routes import DirectRoute, Route, TransferPlan
@@ -31,10 +33,11 @@ from repro.sim.kernel import AllOf
 from repro.workloads.generator import UploadSchedule, fleet_population_schedule
 
 from repro.broker.config import BrokerConfig
+from repro.broker.directory import DirectorySnapshot
 from repro.broker.service import DetourBroker, Recommendation
 
 __all__ = ["FleetUploadRecord", "FleetResult", "FleetRunner", "run_fleet",
-           "FleetScore", "fleet_world", "parse_mode", "score_fleet"]
+           "FleetScore", "OracleFold", "parse_mode", "score_fleet"]
 
 
 @dataclass(frozen=True)
@@ -68,6 +71,12 @@ class FleetResult:
     admission_spills: int
     #: lazy TTL expiries the directory observed during the run
     directory_evictions: int = 0
+    #: directory hits served by entries a warm snapshot preloaded
+    directory_warm_hits: int = 0
+    #: directory entries invalidated during the run
+    invalidations: int = 0
+    #: the broker's final directory (``None`` without a broker)
+    snapshot: Optional[DirectorySnapshot] = None
 
     @property
     def durations_s(self) -> Tuple[float, ...]:
@@ -223,46 +232,19 @@ class FleetRunner:
         for proc in procs:
             if proc.error is not None:
                 raise proc.error
-        if self.broker is not None:
-            probes = self.broker.probes_issued
-            hits = self.broker.directory.hits
-            misses = self.broker.directory.misses
-            spills = self.broker.admission.spills
-            evictions = self.broker.directory.evictions
-        else:
-            probes = hits = misses = spills = evictions = 0
+        broker = self.broker
+        if broker is None:
+            return FleetResult(self.mode, world.seed, tuple(records), 0, 0, 0, 0)
+        directory = broker.directory
         return FleetResult(
-            mode=self.mode,
-            seed=world.seed,
-            records=tuple(records),
-            probes_issued=probes,
-            directory_hits=hits,
-            directory_misses=misses,
-            admission_spills=spills,
-            directory_evictions=evictions,
-        )
-
-
-def fleet_world(seed: int, topo=None, cross_traffic: bool = True,
-                metrics=False, profile=False,
-                cache_dir: Optional[str] = None) -> World:
-    """The world a fleet runs in: *topo* compiled and materialized, or
-    (``topo=None``) the calibrated case study.
-
-    The compiled world is served from *cache_dir* when given;
-    *cross_traffic* only applies to the case study.
-    """
-    if topo is not None:
-        from repro.topo.materialize import compile_spec, materialize
-
-        compiled = compile_spec(topo, cache_dir=cache_dir, routes=True)
-        return materialize(compiled, seed=seed, metrics=metrics,
-                           profile=profile)
-    from repro.testbed.build import build_case_study
-
-    return build_case_study(seed=seed, cross_traffic=cross_traffic,
-                            metrics=metrics, profile=profile,
-                            cache_dir=cache_dir)
+            mode=self.mode, seed=world.seed, records=tuple(records),
+            probes_issued=broker.probes_issued,
+            directory_hits=directory.hits, directory_misses=directory.misses,
+            admission_spills=broker.admission.spills,
+            directory_evictions=directory.evictions,
+            directory_warm_hits=directory.warm_hits,
+            invalidations=directory.invalidations,
+            snapshot=directory.snapshot())
 
 
 def run_fleet(
@@ -282,6 +264,7 @@ def run_fleet(
     horizon_s: float = 1e7,
     topo=None,
     cache_dir: Optional[str] = None,
+    warm: Optional[DirectorySnapshot] = None,
 ) -> FleetResult:
     """Build a world + fleet schedule and run one policy.
 
@@ -296,10 +279,21 @@ def run_fleet(
     ``schedule_seed`` decouples the workload from the world (defaults to
     *seed*, so one number reproduces the whole run).  ``metrics`` and
     ``profile`` take a bool or a prebuilt registry/profiler, exactly as
-    :func:`~repro.testbed.build.build_case_study` does.
+    :func:`~repro.testbed.build.build_case_study` does.  *warm* preloads
+    the broker's directory from a snapshot (broker mode only).
     """
-    world = fleet_world(seed, topo=topo, cross_traffic=cross_traffic,
-                        metrics=metrics, profile=profile, cache_dir=cache_dir)
+    if topo is not None:
+        from repro.topo.materialize import compile_spec, materialize
+
+        compiled = compile_spec(topo, cache_dir=cache_dir, routes=True)
+        world = materialize(compiled, seed=seed, metrics=metrics,
+                            profile=profile)
+    else:
+        from repro.testbed.build import build_case_study
+
+        world = build_case_study(seed=seed, cross_traffic=cross_traffic,
+                                 metrics=metrics, profile=profile,
+                                 cache_dir=cache_dir)
     unknown = sorted(set(sites) - set(world.hosts))
     if unknown:
         raise BrokerError(
@@ -312,7 +306,7 @@ def run_fleet(
     broker = None
     if parse_mode(mode)[0] == "broker":
         broker = DetourBroker(world, pairs=[(c, provider) for c in sites],
-                              config=config)
+                              config=config, warm=warm)
     return FleetRunner(world, schedule, mode=mode, broker=broker).run(horizon_s)
 
 
@@ -374,6 +368,74 @@ class FleetScore:
             regret_g.set(regret_s, mode=mode, site=site)
 
 
+class OracleFold:
+    """Per-upload oracle sums over policies that ran one schedule.
+
+    The one implementation of the paper's comparison: an upload's oracle
+    is the fastest duration any compared policy realized for it, and a
+    policy's regret is its excess over that oracle.  Sums accumulate in
+    the order the caller folds rows and adds folds; :meth:`score` divides.
+    """
+
+    def __init__(self, modes: Sequence[str]):
+        self.modes: Tuple[str, ...] = tuple(modes)
+        self.n = 0
+        self.oracle_s = 0.0
+        #: mode -> [duration sum, regret sum]
+        self.by_mode = {m: [0.0, 0.0] for m in self.modes}
+        #: (mode, site) -> [duration sum, regret sum, uploads]
+        self.by_site: Dict[Tuple[str, str], List[float]] = {}
+
+    @staticmethod
+    def lockstep(streams: Sequence[Iterable], mismatch: Exception
+                 ) -> Iterator[tuple]:
+        """One item from each stream per row; raises *mismatch* when a
+        stream ends before the others."""
+        for row in zip_longest(*streams, fillvalue=None):
+            if None in row:
+                raise mismatch
+            yield row
+
+    def fold(self, rows: Iterable[Tuple[str, Sequence[float]]]) -> int:
+        """Add ``(site, durations)`` rows, durations aligned with the
+        modes; returns the rows added."""
+        start = self.n
+        for site, row in rows:
+            oracle = min(row)
+            self.oracle_s += oracle
+            self.n += 1
+            for mode, duration in zip(self.modes, row):
+                acc = self.by_mode[mode]
+                acc[0] += duration
+                acc[1] += duration - oracle
+                cell = self.by_site.setdefault((mode, site), [0.0, 0.0, 0.0])
+                cell[0] += duration
+                cell[1] += duration - oracle
+                cell[2] += 1.0
+        return self.n - start
+
+    def add(self, other: "OracleFold") -> None:
+        """Add another fold's sums (over the same modes) to these."""
+        self.n += other.n
+        self.oracle_s += other.oracle_s
+        for mine, theirs in ((self.by_mode, other.by_mode),
+                             (self.by_site, other.by_site)):
+            for key, sums in theirs.items():
+                acc = mine.setdefault(key, [0.0] * len(sums))
+                for i, x in enumerate(sums):
+                    acc[i] += x
+
+    def score(self) -> FleetScore:
+        """The sums as means (once a row is folded)."""
+        n = self.n
+        return FleetScore(
+            n_uploads=n, oracle_mean_s=self.oracle_s / n,
+            by_mode={m: (self.by_mode[m][0] / n, self.by_mode[m][1] / n)
+                     for m in sorted(self.modes)},
+            by_site={k: (c[0] / c[2], c[1] / c[2])
+                     for k, c in sorted(self.by_site.items())})
+
+
 #: ``score_fleet`` accepts full results or bare per-mode record streams.
 FleetRecords = Union[FleetResult, Iterable[FleetUploadRecord]]
 
@@ -385,47 +447,24 @@ def score_fleet(results: Mapping[str, FleetRecords]) -> FleetScore:
     realized for it; a policy's regret is its mean excess over that
     oracle.  (An oracle over policies, not over routes — contention makes
     a true per-route oracle schedule-dependent.)  The per-site rollup
-    restricts both aggregates to each client site's own uploads.
+    restricts both aggregates to each client site's own uploads, the
+    site an upload's schedule gave it.
 
     Each mapping value is either a :class:`FleetResult` or any iterable
     of :class:`FleetUploadRecord` — including a one-shot generator: the
-    scorer makes a single index-aligned pass and accumulates per-mode and
-    per-site sums as it goes, so a million-upload fleet streams through
-    in O(modes x sites) memory without the records ever being
-    materialized as a list.
+    scorer makes a single index-aligned pass through an
+    :class:`OracleFold`, summing in upload order, so a million-upload
+    fleet streams through in O(modes x sites) memory without the records
+    ever being materialized as a list.
     """
     if not results:
         raise BrokerError("score_fleet needs at least one result")
     modes = sorted(results)
-    streams = [iter(getattr(results[m], "records", results[m]))
-               for m in modes]
-    n = 0
-    oracle_sum = 0.0
-    #: mode -> [duration sum, regret sum]; accumulated in upload order,
-    #: matching the summation order of the materialized-list scorer.
-    mode_acc: Dict[str, List[float]] = {m: [0.0, 0.0] for m in modes}
-    #: (mode, site) -> [duration sum, regret sum, uploads]
-    site_acc: Dict[Tuple[str, str], List[float]] = {}
-    for row in zip_longest(*streams, fillvalue=None):
-        if any(rec is None for rec in row):
-            raise BrokerError("fleet results disagree on upload count")
-        oracle = min(rec.duration_s for rec in row)
-        oracle_sum += oracle
-        n += 1
-        for mode, rec in zip(modes, row):
-            acc = mode_acc[mode]
-            acc[0] += rec.duration_s
-            acc[1] += rec.duration_s - oracle
-            cell = site_acc.setdefault((mode, rec.client_site),
-                                       [0.0, 0.0, 0.0])
-            cell[0] += rec.duration_s
-            cell[1] += rec.duration_s - oracle
-            cell[2] += 1.0
-    if n == 0:
+    rows = OracleFold.lockstep(
+        [getattr(results[m], "records", results[m]) for m in modes],
+        BrokerError("fleet results disagree on upload count"))
+    fold = OracleFold(modes)
+    if fold.fold((recs[0].client_site, [rec.duration_s for rec in recs])
+                 for recs in rows) == 0:
         raise BrokerError("fleet results are empty")
-    by_mode = {m: (mode_acc[m][0] / n, mode_acc[m][1] / n) for m in modes}
-    by_site = {key: (site_acc[key][0] / site_acc[key][2],
-                     site_acc[key][1] / site_acc[key][2])
-               for key in sorted(site_acc)}
-    return FleetScore(n_uploads=n, oracle_mean_s=oracle_sum / n,
-                      by_mode=by_mode, by_site=by_site)
+    return fold.score()

@@ -35,10 +35,13 @@ DEFAULT_LAYERS: Tuple[Tuple[str, ...], ...] = (
 #: shard worker, where mutated module/class state silently diverges from
 #: the serial run.  Entries are dotted paths relative to the scanned root
 #: package (``campaign.worker.child_main`` matches
-#: ``repro.campaign.worker.child_main``).
+#: ``repro.campaign.worker.child_main``).  ``run_cell_payload`` reaches
+#: each cell type's ``run_measurement`` through ``getattr``, which the
+#: call graph cannot follow, so those methods are listed themselves.
 DEFAULT_WORKER_ENTRYPOINTS: Tuple[str, ...] = (
     "campaign.worker.child_main",
     "campaign.worker.run_cell_payload",
+    "broker.campaign.FleetCell.run_measurement",
     "shard.plan.ShardCell.run_measurement",
 )
 

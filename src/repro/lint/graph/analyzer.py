@@ -101,8 +101,7 @@ class ProjectAnalyzer:
             ctx = FileContext.from_source(source, rel, self.config)
         except SyntaxError as exc:
             finding = parse_error(rel, exc)
-            summary = FileSummary(rel=rel, module=module,
-                                  parse_error=(exc.lineno or 1, str(exc.msg)))
+            summary = FileSummary(rel=rel, module=module)
             return CacheEntry(sha256="", summary=summary, findings=[finding])
         findings = self.engine.lint_context(ctx, scratch)
         summary = summarize_tree(ctx.tree, rel, module, ctx.suppressions)

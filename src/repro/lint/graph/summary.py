@@ -50,7 +50,9 @@ __all__ = [
 #: v5: dropped the ``*args``/``**kwargs`` flags and the import-site scope
 #: flag (read only by the retired SL903).
 #: v6: a lambda's defaults are evaluated (calls there are recorded).
-SUMMARY_VERSION = 6
+#: v7: dropped the write-only ``parse_error`` (parse failures travel as
+#: findings in the cache entry).
+SUMMARY_VERSION = 7
 
 #: Pseudo-function name for statements executed at import time.
 MODULE_BODY = "<module>"
@@ -178,8 +180,6 @@ class FileSummary:
     functions: List[FunctionSummary] = field(default_factory=list)
     #: Suppression comments: line -> sorted rule ids ("*" = all).
     suppressions: Dict[int, List[str]] = field(default_factory=dict)
-    #: (lineno, message) when the file does not parse.
-    parse_error: Optional[Tuple[int, str]] = None
     #: Import statements as ``[line, bound name, target fq]``
     #: (bound name is None for ``from m import *``) — the SL9xx layering
     #: rules work off these, not off the resolved ``imports`` table.
@@ -211,7 +211,6 @@ class FileSummary:
             "defs": self.defs, "classes": self.classes,
             "funcs": [f.to_json() for f in self.functions],
             "supp": {str(k): v for k, v in sorted(self.suppressions.items())},
-            "err": list(self.parse_error) if self.parse_error else None,
             "sites": [list(s) for s in self.import_sites],
             "mg": self.module_globals,
         }
@@ -224,7 +223,6 @@ class FileSummary:
             defs=dict(d["defs"]), classes=dict(d["classes"]),
             functions=[FunctionSummary.from_json(f) for f in d["funcs"]],
             suppressions={int(k): list(v) for k, v in d["supp"].items()},
-            parse_error=tuple(d["err"]) if d["err"] else None,
             import_sites=[list(s) for s in d["sites"]],
             module_globals=list(d["mg"]),
         )

@@ -9,7 +9,8 @@ directory tier where the last writer clobbers a sibling's hosts, an RNG
 whose state advances differently per child.  These rules compute the
 *worker set* — every function reachable through the call graph from the
 configured ``worker_entrypoints`` (pool ``child_main``, the payload
-runner, ``ShardCell.run_measurement``) — and flag the hazards inside it:
+runner, and the ``FleetCell``/``ShardCell`` ``run_measurement`` methods
+it dispatches to by name) — and flag the hazards inside it:
 
 * **SL1001** — worker-reachable code mutates module- or class-level
   state (``global`` rebinding, stores/mutating calls through a module

@@ -3,25 +3,25 @@
 ``merge_sharded`` never holds a fleet's upload records in memory — it
 slices each shard cell's stored measurement back into per-site duration
 streams and folds them through a :class:`FleetAggregator`, one site at a
-time.  The aggregator keeps exactly ``sites x (modes + 1)`` accumulator
-cells (one ``[sum, regret, n]`` triple per (mode, site), one oracle
-``[sum, n]`` pair per site) plus an O(modes) rollup of report counters —
-so a million-upload fleet merges in the memory footprint of its site
-list, which the scale benchmark asserts.
+time.  The aggregator keeps one :class:`~repro.broker.fleet.OracleFold`
+per site — ``sites x (modes + 1)`` accumulator cells (one
+``[sum, regret, n]`` triple per (mode, site), one oracle sum per site) —
+plus an O(modes) rollup of report counters, so a million-upload fleet
+merges in the memory footprint of its site list, which the scale
+benchmark asserts.
 
-Determinism: :meth:`FleetAggregator.score` reduces the per-site cells in
-the *caller's* site order (the plan order), and every upload's numbers
-entered its site's cells in schedule order — so the merged
+Determinism: every upload's numbers enter its site's fold in schedule
+order, and :meth:`FleetAggregator.score` adds the per-site folds in the
+*caller's* site order (the plan order) — so the merged
 :class:`~repro.broker.fleet.FleetScore` is a pure function of the plan,
 independent of shard count, job count, and fold arrival order.
 """
 
 from __future__ import annotations
 
-from itertools import zip_longest
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
-from repro.broker.fleet import FleetScore
+from repro.broker.fleet import FleetScore, OracleFold
 from repro.errors import ShardError
 
 from repro.shard.service import SiteReport
@@ -43,30 +43,28 @@ class FleetAggregator:
         if len(set(modes)) != len(modes):
             raise ShardError(f"aggregator modes repeat: {list(modes)}")
         self.modes: Tuple[str, ...] = tuple(modes)
-        #: (mode, site) -> [duration sum, regret sum, uploads]
-        self._cells: Dict[Tuple[str, str], List[float]] = {}
-        #: site -> [oracle duration sum, uploads]
-        self._oracle: Dict[str, List[float]] = {}
+        #: site -> that site's oracle sums, in schedule order
+        self._folds: Dict[str, OracleFold] = {}
         #: mode -> summed report counters
         self._rollup: Dict[str, Dict[str, int]] = {
             m: {f: 0 for f in _REPORT_FIELDS} for m in self.modes}
-        self._records = 0
 
     # -- introspection (the benchmark asserts on these) --------------------
 
     @property
     def sites_folded(self) -> int:
-        return len(self._oracle)
+        return len(self._folds)
 
     @property
     def records_folded(self) -> int:
         """Upload records consumed so far (across all modes)."""
-        return self._records
+        return sum(f.n for f in self._folds.values()) * len(self.modes)
 
     @property
     def state_cells(self) -> int:
-        """Live accumulator cells — the aggregator's whole O(sites) state."""
-        return len(self._cells) + len(self._oracle)
+        """Accumulator cells — the aggregator's whole O(sites) state: the
+        (mode, site) cells plus one oracle sum per site."""
+        return sum(len(f.by_site) + 1 for f in self._folds.values())
 
     # -- folding ------------------------------------------------------------
 
@@ -78,9 +76,10 @@ class FleetAggregator:
         durations in schedule order (any iterable — including a one-shot
         generator; streams are consumed in lockstep, never materialized).
         The per-upload oracle is the fastest duration any mode realized,
-        exactly as :func:`~repro.broker.fleet.score_fleet` defines it.
+        folded by the :class:`~repro.broker.fleet.OracleFold` that
+        :func:`~repro.broker.fleet.score_fleet` uses.
         """
-        if site in self._oracle:
+        if site in self._folds:
             raise ShardError(f"site {site!r} folded twice")
         missing = [m for m in self.modes if m not in durations]
         extra = sorted(set(durations) - set(self.modes))
@@ -88,26 +87,14 @@ class FleetAggregator:
             raise ShardError(
                 f"site {site!r} duration streams do not match the plan "
                 f"modes (missing {missing}, unexpected {extra})")
-        streams = [iter(durations[m]) for m in self.modes]
-        cells = [self._cells.setdefault((m, site), [0.0, 0.0, 0.0])
-                 for m in self.modes]
-        oracle_cell = self._oracle.setdefault(site, [0.0, 0.0])
-        n = 0
-        for row in zip_longest(*streams, fillvalue=None):
-            if any(d is None for d in row):
-                raise ShardError(
-                    f"site {site!r} duration streams disagree on upload count")
-            oracle = min(row)
-            oracle_cell[0] += oracle
-            oracle_cell[1] += 1.0
-            n += 1
-            for cell, duration in zip(cells, row):
-                cell[0] += duration
-                cell[1] += duration - oracle
-                cell[2] += 1.0
+        rows = OracleFold.lockstep(
+            [durations[m] for m in self.modes],
+            ShardError(f"site {site!r} duration streams disagree on upload "
+                       f"count"))
+        fold = self._folds[site] = OracleFold(self.modes)
+        n = fold.fold((site, row) for row in rows)
         if n == 0:
             raise ShardError(f"site {site!r} duration streams are empty")
-        self._records += n * len(self.modes)
         return n
 
     def fold_report(self, report: SiteReport) -> None:
@@ -128,36 +115,18 @@ class FleetAggregator:
         *sites* must be exactly the folded sites; the explicit order is
         what makes the reduction independent of fold arrival order.
         """
-        unfolded = [s for s in sites if s not in self._oracle]
-        surplus = sorted(set(self._oracle) - set(sites))
+        unfolded = [s for s in sites if s not in self._folds]
+        surplus = sorted(set(self._folds) - set(sites))
         if unfolded or surplus:
             raise ShardError(
                 f"cannot score: sites never folded {unfolded}, folded but "
                 f"not requested {surplus}")
-        oracle_sum = 0.0
-        n = 0
-        mode_sums: Dict[str, List[float]] = {m: [0.0, 0.0] for m in self.modes}
-        by_site: Dict[Tuple[str, str], Tuple[float, float]] = {}
+        total = OracleFold(self.modes)
         for site in sites:
-            o_sum, o_n = self._oracle[site]
-            oracle_sum += o_sum
-            n += int(o_n)
-            for mode in self.modes:
-                dur_sum, regret_sum, cell_n = self._cells[(mode, site)]
-                mode_sums[mode][0] += dur_sum
-                mode_sums[mode][1] += regret_sum
-                by_site[(mode, site)] = (dur_sum / cell_n,
-                                         regret_sum / cell_n)
-        if n == 0:
+            total.add(self._folds[site])
+        if total.n == 0:
             raise ShardError("cannot score an empty aggregator")
-        by_mode = {m: (mode_sums[m][0] / n, mode_sums[m][1] / n)
-                   for m in sorted(self.modes)}
-        return FleetScore(
-            n_uploads=n,
-            oracle_mean_s=oracle_sum / n,
-            by_mode=by_mode,
-            by_site={k: by_site[k] for k in sorted(by_site)},
-        )
+        return total.score()
 
     def rollup(self) -> Dict[str, Dict[str, float]]:
         """Per-mode directory/probe aggregates from the folded reports."""

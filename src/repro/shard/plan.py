@@ -30,13 +30,15 @@ partition-independent names.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.broker.campaign import workload_fields, workload_identity
+from repro.broker.campaign import (fleet_kwargs, workload_fields,
+                                   workload_identity)
 from repro.broker.config import BrokerConfig
 from repro.broker.directory import DirectorySnapshot
-from repro.broker.fleet import FleetResult, fleet_world, parse_mode
+from repro.broker.fleet import parse_mode, run_fleet
 from repro.campaign.store import register_cell_type
 from repro.core.identity import content_key
 from repro.errors import CampaignError, ShardError
@@ -57,49 +59,32 @@ SHARD_CELL_TYPE = "shard-fleet"
 SHARD_CELL_VERSION = 1
 
 
-def _site_unit_identity(
-    site: str,
-    provider: str,
-    mode: str,
-    n_uploads_per_site: int,
-    mean_interarrival_s: float,
-    mean_size_mb: float,
-    size_dist: str,
-    seed: int,
-    cross_traffic: bool,
-    config: Optional[BrokerConfig],
-    topo: Optional[TopoSpec],
-    warm_hash: str,
-) -> Dict[str, object]:
-    """The identity of one (site, policy) fleet unit.
+def _unit_report_name(w, site: str, mode: str, warm_hash: str) -> str:
+    """Report name of *site*'s unit under *mode* in the workload *w* carries.
 
-    Deliberately partition-free: no shard index, no shard count, no
-    sibling sites — so the unit's published report name is the same for
-    every sharding of the same plan.
+    The unit identity is deliberately partition-free: no shard index, no
+    shard count, no sibling sites — so the unit's published report name
+    is the same for every sharding of the same plan.  A world rides as
+    its content hash alone.
     """
-    ident: Dict[str, object] = {
-        "unit": "shard-site",
-        "version": SHARD_CELL_VERSION,
-        "site": site,
-        "provider": provider,
-        "mode": mode,
-        "n_uploads_per_site": int(n_uploads_per_site),
-        "mean_interarrival_s": float(mean_interarrival_s),
-        "mean_size_mb": float(mean_size_mb),
-        "size_dist": size_dist,
-        "seed": int(seed),
-        "cross_traffic": bool(cross_traffic),
-        "config": None if config is None else asdict(config),
-        "warm_hash": warm_hash,
-    }
-    if topo is not None:
-        ident["topo"] = topo.content_hash()
-    return ident
+    ident = workload_identity(w)
+    del ident["sites"]
+    if w.topo is not None:
+        ident["topo"] = w.topo.content_hash()
+    ident.update(unit="shard-site", version=SHARD_CELL_VERSION, site=site,
+                 mode=mode, warm_hash=warm_hash)
+    return "site-" + content_key(ident, 24)
 
 
-def site_report_name(**unit_kwargs) -> str:
-    """Content name of one site unit's published report (``site-<hash>``)."""
-    return "site-" + content_key(_site_unit_identity(**unit_kwargs), 24)
+def site_report_name(**unit) -> str:
+    """Content name of one site unit's published report (``site-<hash>``).
+
+    *unit* holds the unit's ``site``, ``mode`` and ``warm_hash`` plus
+    every field :func:`~repro.broker.campaign.workload_identity` reads
+    but ``sites``.
+    """
+    return _unit_report_name(SimpleNamespace(sites=(), **unit), unit["site"],
+                             unit["mode"], unit["warm_hash"])
 
 
 def _with_site_label(samples: Sequence[MetricSample],
@@ -219,86 +204,52 @@ class ShardCell:
         return experiment_seed(self.seed, self.site_workload_label(site))
 
     def site_report_name(self, site: str) -> str:
-        return site_report_name(
-            site=site, provider=self.provider, mode=self.mode,
-            n_uploads_per_site=self.n_uploads_per_site,
-            mean_interarrival_s=self.mean_interarrival_s,
-            mean_size_mb=self.mean_size_mb, size_dist=self.size_dist,
-            seed=self.seed, cross_traffic=self.cross_traffic,
-            config=self.config, topo=self.topo, warm_hash=self.warm_hash)
-
-    def _run_site(self, site: str):
-        """One single-site fleet unit: ``(result, report)``."""
-        from repro.broker.service import DetourBroker
-        from repro.broker.fleet import FleetRunner
-        from repro.workloads.generator import fleet_population_schedule
-
-        kind, _static = parse_mode(self.mode)
-        if kind == "broker" and self.warm_hash and self.warm is None:
-            raise ShardError(
-                f"shard cell {self.describe()!r} was planned against warm "
-                f"snapshot {self.warm_hash} but carries no snapshot object; "
-                f"re-expand the plan with ShardPlan.expand(warm=...)")
-        site_metrics = MetricsRegistry()
-        world = fleet_world(self.site_world_seed(site), topo=self.topo,
-                            cross_traffic=self.cross_traffic,
-                            metrics=site_metrics, cache_dir=self.cache_dir)
-        if site not in world.hosts:
-            raise ShardError(
-                f"shard site {site!r} not in the world's host map "
-                f"(world has {len(world.hosts)} hosts)")
-        schedule = fleet_population_schedule(
-            (site,), self.provider, self.n_uploads_per_site,
-            self.mean_interarrival_s, self.mean_size_mb, seed=self.seed,
-            size_dist=self.size_dist)
-        broker = None
-        if kind == "broker":
-            broker = DetourBroker(world, pairs=[(site, self.provider)],
-                                  config=self.config, warm=self.warm)
-        result: FleetResult = FleetRunner(world, schedule, mode=self.mode,
-                                          broker=broker).run()
-        report = SiteReport(
-            site=site,
-            mode=self.mode,
-            seed=self.seed,
-            warm_hash=self.warm_hash,
-            n_uploads=len(result.records),
-            probes_issued=result.probes_issued,
-            directory_hits=result.directory_hits,
-            directory_misses=result.directory_misses,
-            directory_evictions=result.directory_evictions,
-            directory_warm_hits=(broker.directory.warm_hits
-                                 if broker is not None else 0),
-            invalidations=(broker.directory.invalidations
-                           if broker is not None else 0),
-            admission_spills=result.admission_spills,
-            snapshot=(broker.directory.snapshot()
-                      if broker is not None else None),
-        )
-        return result, report, site_metrics
+        return _unit_report_name(self, site, self.mode, self.warm_hash)
 
     def run_measurement(self, metrics: Optional[MetricsRegistry] = None
                         ) -> Measurement:
         """Execute every site unit of this shard, in plan site order.
 
-        Per-upload durations concatenate **site-major** (sites in cell
-        order, uploads in schedule order within each site), so the
-        merge can slice the stored measurement back into per-site
-        streams.  Each unit's metric samples are stamped with its
-        ``site`` label before merging into *metrics*, and its report is
-        published to the file tier when ``publish_root`` is set.
+        Each site is a single-site :func:`~repro.broker.fleet.run_fleet`
+        against its own registry.  Per-upload durations concatenate
+        **site-major** (sites in cell order, uploads in schedule order
+        within each site), so the merge can slice the stored measurement
+        back into per-site streams.  Each unit's metric samples are
+        stamped with its ``site`` label before merging into *metrics*,
+        and its report is published to the file tier when
+        ``publish_root`` is set.
         """
+        if self.warm_hash and self.warm is None \
+                and parse_mode(self.mode)[0] == "broker":
+            raise ShardError(
+                f"shard cell {self.describe()!r} was planned against warm "
+                f"snapshot {self.warm_hash} but carries no snapshot object; "
+                f"re-expand the plan with ShardPlan.expand(warm=...)")
         tier = (DirectoryFileTier(self.publish_root)
                 if self.publish_root is not None else None)
         durations: List[float] = []
         for site in self.sites:
-            result, report, site_metrics = self._run_site(site)
+            site_metrics = MetricsRegistry()
+            result = run_fleet(
+                self.site_world_seed(site), (site,), mode=self.mode,
+                metrics=site_metrics, schedule_seed=self.seed,
+                cache_dir=self.cache_dir, warm=self.warm, **fleet_kwargs(self))
             durations.extend(result.durations_s)
             if metrics is not None:
                 metrics.merge_samples(
                     _with_site_label(site_metrics.collect(), site))
             if tier is not None:
-                tier.publish(self.site_report_name(site), report.to_dict())
+                tier.publish(self.site_report_name(site), SiteReport(
+                    site=site, mode=self.mode, seed=self.seed,
+                    warm_hash=self.warm_hash, n_uploads=len(result.records),
+                    probes_issued=result.probes_issued,
+                    directory_hits=result.directory_hits,
+                    directory_misses=result.directory_misses,
+                    directory_evictions=result.directory_evictions,
+                    directory_warm_hits=result.directory_warm_hits,
+                    invalidations=result.invalidations,
+                    admission_spills=result.admission_spills,
+                    snapshot=result.snapshot).to_dict())
         return Measurement(label=self.label, all_durations_s=tuple(durations),
                            kept=summarize(durations), results=())
 
@@ -406,14 +357,8 @@ class ShardPlan:
         cells.
         """
         is_broker = parse_mode(mode)[0] == "broker"
-        return site_report_name(
-            site=site, provider=self.provider, mode=mode,
-            n_uploads_per_site=self.n_uploads_per_site,
-            mean_interarrival_s=self.mean_interarrival_s,
-            mean_size_mb=self.mean_size_mb, size_dist=self.size_dist,
-            seed=self.seed, cross_traffic=self.cross_traffic,
-            config=self.config, topo=self.topo,
-            warm_hash=warm_hash if is_broker else "")
+        return _unit_report_name(self, site, mode,
+                                 warm_hash if is_broker else "")
 
     def expand(self, warm: Optional[DirectorySnapshot] = None,
                warm_hash: Optional[str] = None,

@@ -4,7 +4,10 @@
 ``Router`` walks one cached shortest-path tree per source node.  The
 oracle below is the code those replaced, frozen verbatim (module-level
 functions instead of methods): the scan over every link, the Dijkstra
-that stops at its destination, and the router methods that called them.
+that stops at its destination, and the router methods that called them,
+the hop loop included, so the live router's memo and suffix joins are
+checked against a walk that has neither.  The loop's hop bound alone is
+corrected: a path of exactly ``_MAX_HOPS`` hops resolves.
 Both sides resolve over the *same* live topology while random link
 failures and restores are applied through ``World``, so the index's
 read-time ``failed`` filter and ``Router.invalidate`` are exercised on
@@ -21,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import RoutingError, TopologyError
 from repro.net.bgp import BgpRouteComputer
-from repro.net.routing import ResolvedPath, Router
+from repro.net.routing import _MAX_HOPS, ResolvedPath, Router
 from repro.net.topology import Link, Node, NodeKind, Topology
 from repro.topo import compile_spec, generate, materialize, preset_spec
 from repro.topo.materialize import _route_pairs
@@ -78,7 +81,13 @@ def reference_intra_as_path(topo: Topology, src: str, dst: str) -> List[str]:
 
 
 class ReferenceRouter(Router):
-    """``Router`` with the original per-query resolution methods."""
+    """``Router`` with the original per-query resolution methods.
+
+    Its walk is the original hop loop too, which decides every hop and
+    joins nothing an earlier walk found; only its hop bound is the
+    corrected one, under which a path of exactly ``_MAX_HOPS`` hops
+    resolves.
+    """
 
     def __init__(self, topology, as_graph, policy):
         super().__init__(topology, as_graph, policy)
@@ -87,6 +96,29 @@ class ReferenceRouter(Router):
             edge_usable=lambda a, b: bool(reference_inter_as_links(topology, a, b)),
         )
         self._igp_cost_cache: Dict[Tuple[str, str], float] = {}
+
+    def walk(self, src: str, dst: str) -> List[str]:
+        topo = self.topology
+        s, d = topo.node(src), topo.node(dst)
+        if src == dst:
+            raise RoutingError(f"source and destination are the same host: {src}")
+        nodes = [s.name]
+        cur = s
+        for _ in range(_MAX_HOPS):
+            if cur.name == d.name:
+                break
+            nxt = self._next_hop(cur, s, d)
+            if nxt in nodes:
+                raise RoutingError(
+                    f"forwarding loop resolving {src}->{dst}: revisit {nxt} "
+                    f"(path so far: {' -> '.join(nodes)})"
+                )
+            nodes.append(nxt)
+            cur = topo.node(nxt)
+        else:
+            if cur.name != d.name:
+                raise RoutingError(f"path {src}->{dst} exceeds {_MAX_HOPS} hops")
+        return nodes
 
     def _finalize(self, nodes: List[str]) -> ResolvedPath:
         topo = self.topology
